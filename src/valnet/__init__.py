@@ -22,6 +22,7 @@ from .errors import (
     ProblemFormatError,
     SolverError,
     TotalConflictError,
+    UtilityError,
     ValnetError,
 )
 from .model import (

@@ -15,9 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatchError, KindError, TotalConflictError, ValnetError
+from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
 from .model import ConfigSet, concat_configs, make_config, project_config
-from .valuation import BELIEF, GENERAL, UTILITY, Valuation, canonical_focals
+from .valuation import BELIEF, GENERAL, UTILITY, Valuation, canonical_focals, support_key
 
 CONFLICT_TOL = 1e-12
 
@@ -79,15 +79,7 @@ def _joint_support(supports, domains, union, frames):
 
 def combine(vi, vj):
     """Binary combination of two valuations."""
-    if vi.kind == BELIEF and vj.kind == BELIEF:
-        result, _ = _combine_many([], [vi, vj])
-    elif vi.kind != BELIEF and vj.kind != BELIEF:
-        result, _ = _combine_many([vi, vj], [])
-    else:
-        nonbelief = vi if vi.kind != BELIEF else vj
-        belief = vj if vi.kind != BELIEF else vi
-        result, _ = _combine_many([nonbelief], [belief])
-    return result
+    return combine_all([vi, vj])
 
 
 def combine_all(valuations):
@@ -97,7 +89,11 @@ def combine_all(valuations):
 
 
 def combine_all_traced(valuations):
-    """As combine_all, but also reports which input focals built each output focal.
+    """N-ary combination: values of non-beliefs add, belief masses multiply.
+
+    Joint supports come from intersecting all cylinder extensions; the belief
+    part is renormalized by one minus the total conflict among the beliefs.
+    Non-beliefs are combined before beliefs.
 
     Returns (valuation, provenance) where provenance is a list parallel to the
     result focals; each entry lists tuples of focal indices, one per input
@@ -106,21 +102,11 @@ def combine_all_traced(valuations):
     valuations = list(valuations)
     if not valuations:
         raise ValnetError("cannot combine an empty collection of valuations")
-    others = [v for v in valuations if v.kind != BELIEF]
-    beliefs = [v for v in valuations if v.kind == BELIEF]
-    return _combine_many(others, beliefs, order=valuations)
-
-
-def _combine_many(others, beliefs, order=None):
-    """N-ary combination: values of non-beliefs add, belief masses multiply.
-
-    Joint supports come from intersecting all cylinder extensions; the belief
-    part is renormalized by one minus the total conflict among the beliefs.
-    """
-    inputs = others + beliefs
-    if order is None:
-        order = inputs
-    position = {id(v): i for i, v in enumerate(order)}
+    order = [i for i, v in enumerate(valuations) if v.kind != BELIEF]
+    n_others = len(order)
+    order += [i for i, v in enumerate(valuations) if v.kind == BELIEF]
+    inputs = [valuations[i] for i in order]
+    others, beliefs = inputs[:n_others], inputs[n_others:]
     union = frozenset().union(*(v.domain for v in inputs))
     frames = _merge_frames(inputs)
 
@@ -170,8 +156,8 @@ def _combine_many(others, beliefs, order=None):
         else:
             accum[key] = (joint, {z: [val] for z, val in values.items()})
         source = [0] * len(order)
-        for v, i in zip(inputs, combo):
-            source[position[id(v)]] = i
+        for position, i in zip(order, combo):
+            source[position] = i
         provenance.setdefault(key, []).append(tuple(source))
 
     if not accum:
@@ -180,14 +166,12 @@ def _combine_many(others, beliefs, order=None):
         # as conflict.
         raise TotalConflictError("no joint focal has a nonempty support")
 
-    kind = BELIEF if not others else None
     items = [
         (joint, {z: math.fsum(sorted(vals)) for z, vals in values.items()})
         for joint, values in accum.values()
     ]
-    focals = canonical_focals(items, BELIEF if kind == BELIEF else GENERAL)
-    if kind != BELIEF:
-        kind = _nonbelief_kind(union, frames, focals)
+    focals = canonical_focals(items, GENERAL if others else BELIEF)
+    kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
     prov = [provenance[tuple(sorted(f.support.members))] for f in focals]
     return Valuation(union, frames, kind, focals), prov
 
@@ -198,20 +182,27 @@ def marginalize_belief(v, name):
         raise KindError("marginalize_belief needs a belief valuation, got %r" % v.kind)
     if name not in v.domain:
         raise DomainMismatchError("%r is not in the valuation's domain" % name)
-    rest = v.domain - {name}
+    result, _ = _project_belief(v, v.domain - {name})
+    return result
+
+
+def _project_belief(v, rest):
+    """Belief projection to ``rest`` and, per result focal, the source masses."""
     items = []
-    for f in v.focals:
-        if rest:
-            proj = f.support.project(rest)
-        else:
-            proj = ConfigSet(frozenset(), frozenset([()]))
+    groups = {}
+    for idx, f in enumerate(v.focals):
+        proj = f.support.project(rest)
         items.append((proj, {x: f.mass for x in proj}))
+        group = groups.setdefault(support_key(proj), {})
+        for x in proj:
+            group[(idx, x)] = f.mass
     focals = canonical_focals(items, BELIEF)
     frames = {n: f for n, f in v.frames.items() if n in rest}
-    return Valuation(rest, frames, BELIEF, focals)
+    result = Valuation(rest, frames, BELIEF, focals)
+    return result, [groups[support_key(f.support)] for f in focals]
 
 
-def marginalize(v, variable, lam=None, policy=None, want_detail=False):
+def marginalize(v, variable, lam=None, policy=None):
     """Remove one variable from a valuation.
 
     Belief valuations route to mass summation.  Otherwise a decision variable
@@ -219,39 +210,34 @@ def marginalize(v, variable, lam=None, policy=None, want_detail=False):
     ``policy`` table dictates the act) and a random variable by the
     lambda-weighted blend of maximum and minimum.
 
-    Returns (valuation, solution table or None); with ``want_detail`` a third
-    element gives, per result focal, the per-source-focal contributions used
-    to build each value.
+    Returns (valuation, solution table or None, contributions), where
+    contributions is a list parallel to the result focals; each entry maps
+    (source focal index, result configuration) to the value that source
+    focal contributed there.
     """
     name = variable.name
     if name not in v.domain:
         raise DomainMismatchError("%r is not in the valuation's domain" % name)
+    rest = v.domain - {name}
     if v.kind == BELIEF:
-        result = marginalize_belief(v, name)
-        if want_detail:
-            detail = _belief_detail(v, result, name)
-            return result, None, detail
-        return result, None
+        result, contributions = _project_belief(v, rest)
+        return result, None, contributions
 
     is_dec = variable.is_decision
     if not is_dec:
         lam = check_lambda(lam)
-    rest = v.domain - {name}
     frames = {n: f for n, f in v.frames.items() if n in rest}
 
     # Group source focals by their projected support.
     groups = {}
     for idx, f in enumerate(v.focals):
-        if rest:
-            proj = f.support.project(rest)
-        else:
-            proj = ConfigSet(frozenset(), frozenset([()]))
+        proj = f.support.project(rest)
         groups.setdefault(tuple(sorted(proj.members)), (proj, []))[1].append((idx, f))
 
     scores = {}
     focal_prefs = {}
     items = []
-    detail = []
+    contributions = []
     for key in sorted(groups):
         proj, members = groups[key]
         values = {}
@@ -262,26 +248,27 @@ def marginalize(v, variable, lam=None, policy=None, want_detail=False):
                 ext = {
                     y: f.values[y]
                     for y in f.support
-                    if (project_config(y, rest) if rest else ()) == x
+                    if project_config(y, rest) == x
                 }
                 if is_dec:
                     if policy is not None:
                         contrib = _policy_value(ext, x, name, policy)
                     else:
                         contrib = max(ext.values())
-                        best = _argmax_act(ext, name, variable.frame)
-                        focal_prefs.setdefault(x, set()).add(best)
                         acts = scores.setdefault(x, {})
+                        peaks = {}
                         for y, val in ext.items():
                             act = dict(y)[name]
                             acts[act] = acts.get(act, 0.0) + val
+                            peaks[act] = max(peaks.get(act, val), val)
+                        focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
                 else:
                     contrib = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
                 contribs[(idx, x)] = contrib
                 total += contrib
             values[x] = total
         items.append((proj, values))
-        detail.append(contribs)
+        contributions.append(contribs)
 
     focals = canonical_focals(items, GENERAL)
     kind = _nonbelief_kind(rest, frames, focals)
@@ -296,26 +283,16 @@ def marginalize(v, variable, lam=None, policy=None, want_detail=False):
             if len(focal_prefs[x]) > 1:
                 conflicts.add(x)
         table = SolutionTable(name, tuple(sorted(rest)), choices, frozenset(conflicts))
-    if want_detail:
-        return result, table, detail
-    return result, table
-
-
-def _argmax_act(ext, name, frame):
-    best_val = max(ext.values())
-    for act in frame:
-        for y, val in ext.items():
-            if dict(y)[name] == act and val == best_val:
-                return act
-    raise AssertionError("unreachable")
+    return result, table, contributions
 
 
 def _best_act(acts, frame):
+    """The first act of the frame whose value in ``acts`` is the largest."""
     best = max(acts.values())
     for act in frame:
         if act in acts and acts[act] == best:
             return act
-    raise AssertionError("unreachable")
+    raise SolverError("no act attains the maximum value; the values are not all finite")
 
 
 def _policy_value(ext, x, name, policy):
@@ -327,21 +304,3 @@ def _policy_value(ext, x, name, policy):
         return max(ext.values())
     y = concat_configs(x, make_config({name: act}))
     return ext.get(y, 0.0)
-
-
-def _belief_detail(v, result, name):
-    rest = v.domain - {name}
-    detail = []
-    for rf in result.focals:
-        contribs = {}
-        for idx, f in enumerate(v.focals):
-            proj = (
-                f.support.project(rest)
-                if rest
-                else ConfigSet(frozenset(), frozenset([()]))
-            )
-            if proj.members == rf.support.members:
-                for x in proj:
-                    contribs[(idx, x)] = f.mass
-        detail.append(contribs)
-    return detail

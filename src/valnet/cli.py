@@ -78,14 +78,19 @@ def main(argv=None):
     return cmd_marginal(problem, args)
 
 
-def cmd_check(problem):
-    report = validate(problem.network)
-    if report.ok:
-        print("ok: network is well-defined")
-        return EXIT_OK
+def _report_invalid(network):
+    """Print the network's validation findings to stderr; True if it has any."""
+    report = validate(network)
     for line in report.lines():
         print(line, file=sys.stderr)
-    return EXIT_INVALID
+    return not report.ok
+
+
+def cmd_check(problem):
+    if _report_invalid(problem.network):
+        return EXIT_INVALID
+    print("ok: network is well-defined")
+    return EXIT_OK
 
 
 def _fmt(value):
@@ -148,10 +153,7 @@ def cmd_solve(problem, args):
     if lam is None:
         print("error: no lambda given (use --lambda or a lambda line in the file)", file=sys.stderr)
         return EXIT_PARSE
-    report = validate(network)
-    if not report.ok:
-        for line in report.lines():
-            print(line, file=sys.stderr)
+    if _report_invalid(network):
         return EXIT_INVALID
     try:
         result = solve(network, lam, trace=args.trace, checked=False)
@@ -257,10 +259,7 @@ def cmd_sweep(problem, args):
         return EXIT_PARSE
     if len(set(grid)) != len(grid):
         print("note: duplicate lambda values removed", file=sys.stderr)
-    report = validate(network)
-    if not report.ok:
-        for line in report.lines():
-            print(line, file=sys.stderr)
+    if _report_invalid(network):
         return EXIT_INVALID
     try:
         results = lambda_sweep(network, grid, checked=False)
@@ -288,12 +287,9 @@ def _fingerprint(network, result):
 
 def cmd_marginal(problem, args):
     network = problem.network
-    report = validate(network)
     # Pure-propagation networks have no decisions; p5 and friends are moot,
     # but structural findings (A1, b, d) still apply.
-    if not report.ok:
-        for line in report.lines():
-            print(line, file=sys.stderr)
+    if _report_invalid(network):
         return EXIT_INVALID
     try:
         marginal = propagate_marginal(network, args.target)

@@ -17,6 +17,10 @@ class MassError(ValnetError):
     """Basic probability assignment axioms violated (negative or non-unit mass)."""
 
 
+class UtilityError(ValnetError):
+    """A utility table holds a value that is not a finite number."""
+
+
 class TotalConflictError(ValnetError):
     """Two belief functions are in total conflict (normalization constant is zero)."""
 

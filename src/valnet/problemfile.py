@@ -14,6 +14,7 @@ span lines):
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -65,9 +66,12 @@ def _split_list(body):
 
 def _parse_number(token, lineno, what="number"):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ProblemFormatError("bad %s %r" % (what, token), lineno)
+    if not math.isfinite(value):
+        raise ProblemFormatError("%s %r is not finite" % (what, token), lineno)
+    return value
 
 
 class _Builder:
@@ -156,8 +160,13 @@ def _parse_variable(b, kind, stmt, lineno):
     m = re.fullmatch(r"%s\s+(%s)\s*\{(.*)\}\s*" % (kind, _NAME), stmt)
     if not m:
         raise ProblemFormatError("malformed %s declaration" % kind, lineno)
-    name, body = m.group(1), m.group(2)
-    b.add_variable(kind, name, _split_list(body), lineno)
+    name, frame = m.group(1), _split_list(m.group(2))
+    for label in frame:
+        if not re.fullmatch(_TOKEN, label):
+            raise ProblemFormatError(
+                "frame value %r of variable %r is not a single token" % (label, name), lineno
+            )
+    b.add_variable(kind, name, frame, lineno)
 
 
 def _parse_prec(b, stmt, lineno):

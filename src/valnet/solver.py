@@ -28,7 +28,7 @@ ORACLE_GUARD = 10 ** 6
 
 @dataclass(frozen=True)
 class FusionStep:
-    """One elimination step, kept for tracing."""
+    """One elimination step; ``solve(..., trace=True)`` keeps them numbered from 1."""
 
     index: int
     variable: str
@@ -71,35 +71,32 @@ class UtilityInterval:
     bounds: dict  # act -> (lower, upper)
 
 
-def fuse(pool, variable, lam=None, trace=False, policy=None):
+def fuse(pool, variable, lam=None, policy=None):
     """One fusion step over a pool of valuations.
 
-    Returns (new pool, solution table or None[, FusionStep when tracing]).
+    Returns (new pool, FusionStep).  The step's ``solution`` is the solution
+    table recorded for an unforced decision variable, else None; its
+    ``index`` is 0, and ``solve`` numbers the steps it keeps.
     """
     touched = [v for v in pool if variable.name in v.domain]
     untouched = [v for v in pool if variable.name not in v.domain]
     if not touched:
         raise ValnetError("no valuation in the pool mentions %r" % variable.name)
     combined, provenance = combine_all_traced(touched)
-    result, table, detail = marginalize(
-        combined, variable, lam=lam, policy=policy, want_detail=True
-    )
+    result, table, contributions = marginalize(combined, variable, lam=lam, policy=policy)
     result = replace(result, label="elim_%s" % variable.name)
-    new_pool = untouched + [result]
-    if trace:
-        step = FusionStep(
-            index=0,
-            variable=variable.name,
-            kind=variable.kind,
-            inputs=tuple(touched),
-            combined=combined,
-            provenance=tuple(provenance),
-            result=result,
-            contributions=tuple(detail),
-            solution=table,
-        )
-        return new_pool, table, step
-    return new_pool, table
+    step = FusionStep(
+        index=0,
+        variable=variable.name,
+        kind=variable.kind,
+        inputs=tuple(touched),
+        combined=combined,
+        provenance=tuple(provenance),
+        result=result,
+        contributions=tuple(contributions),
+        solution=table,
+    )
+    return untouched + [result], step
 
 
 def _initial_pool(network):
@@ -113,40 +110,28 @@ def _finish(pool):
     return final.value_at(DIAMOND)
 
 
+def _check(network):
+    report = validate(network)
+    if not report.ok:
+        raise NotWellDefinedError(report)
+
+
 def solve(network, lam, trace=False, policy_tables=None, checked=True):
     """Run the fusion algorithm; returns expected value, tables and strategy."""
     lam = check_lambda(lam)
     if checked:
-        report = validate(network)
-        if not report.ok:
-            raise NotWellDefinedError(report)
+        _check(network)
     order = elimination_order(network)
     pool = _initial_pool(network)
     solutions = {}
     steps = []
     for i, name in enumerate(order):
-        variable = network.by_name[name]
         policy = (policy_tables or {}).get(name)
-        out = fuse(pool, variable, lam=lam, trace=trace, policy=policy)
+        pool, step = fuse(pool, network.by_name[name], lam=lam, policy=policy)
         if trace:
-            pool, table, step = out
-            steps.append(
-                FusionStep(
-                    index=i + 1,
-                    variable=step.variable,
-                    kind=step.kind,
-                    inputs=step.inputs,
-                    combined=step.combined,
-                    provenance=step.provenance,
-                    result=step.result,
-                    contributions=step.contributions,
-                    solution=step.solution,
-                )
-            )
-        else:
-            pool, table = out
-        if table is not None:
-            solutions[name] = table
+            steps.append(replace(step, index=i + 1))
+        if step.solution is not None:
+            solutions[name] = step.solution
     expected = _finish(pool)
     strategy = build_strategy(network, solutions)
     return SolveResult(lam, expected, solutions, strategy, tuple(steps) if trace else None)
@@ -217,9 +202,7 @@ def oracle_solve(network, lam, checked=True):
     """
     lam = check_lambda(lam)
     if checked:
-        report = validate(network)
-        if not report.ok:
-            raise NotWellDefinedError(report)
+        _check(network)
     size = math.prod(len(v.frame) for v in network.variables)
     if size > ORACLE_GUARD:
         raise SolverError("joint frame has %d configurations, over the guard" % size)
@@ -229,7 +212,7 @@ def oracle_solve(network, lam, checked=True):
     for name in order:
         if name not in joint.domain:
             continue
-        joint, table = marginalize(joint, network.by_name[name], lam=lam)
+        joint, table, _ = marginalize(joint, network.by_name[name], lam=lam)
         if table is not None:
             solutions[name] = table
     expected = joint.value_at(DIAMOND)
@@ -284,9 +267,7 @@ def lambda_sweep(network, grid, checked=True):
     if not values:
         raise ValnetError("empty grid of weighting factors")
     if checked:
-        report = validate(network)
-        if not report.ok:
-            raise NotWellDefinedError(report)
+        _check(network)
     results = [solve(network, lam, checked=False) for lam in values]
     for a, b in zip(results, results[1:]):
         if b.expected_value < a.expected_value - 1e-9 * max(1.0, abs(a.expected_value)):

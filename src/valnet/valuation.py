@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatchError, KindError, MassError, NetworkError
+from .errors import DomainMismatchError, KindError, MassError, NetworkError, UtilityError
 from .model import ConfigSet, Variable, all_configs, concat_configs, make_config
 
 BELIEF = "belief"
@@ -92,6 +92,8 @@ def canonical_focals(items, kind):
 def _check_bpa_masses(assignments, where=""):
     total = 0.0
     for support, mass in assignments:
+        if not math.isfinite(mass):
+            raise MassError("non-finite mass %r%s" % (mass, where))
         if mass < 0:
             raise MassError("negative mass %r%s" % (mass, where))
         total += mass
@@ -145,8 +147,11 @@ def make_utility(variables, table, label=""):
         raise DomainMismatchError(
             "utility table mismatch (missing %r, extra %r)" % (missing, extra)
         )
-    support = ConfigSet(domain, frozenset(expected))
     values = {x: float(v) for x, v in table.items()}
+    bad = sorted(x for x, v in values.items() if not math.isfinite(v))
+    if bad:
+        raise UtilityError("utility values are not finite at %r" % (bad,))
+    support = ConfigSet(domain, frozenset(expected))
     return Valuation(domain, frames, UTILITY, (Focal(support, values),), label)
 
 

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
 
-from conftest import WILDCATTER_PATH
+from conftest import ROOT, WILDCATTER_PATH
+
+SRC = ROOT / "src"
 
 PROPAGATION = """\
 random R { x, y }
@@ -111,6 +117,20 @@ class TestSolve:
         path = write(tmp_path, wildcatter_text.replace("prec R -> D", ""))
         code, _, err = run(capsys, "solve", path)
         assert code == EXIT_INVALID
+
+
+    @pytest.mark.parametrize("hash_seed", ["1", "3"])
+    def test_non_finite_utility_is_a_parse_error(self, tmp_path, wildcatter_text, hash_seed):
+        # A NaN utility once gave a hash-seed-dependent crash or strategy.
+        path = write(tmp_path, wildcatter_text.replace("~t = 0", "~t = nan"))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "valnet.cli", "solve", path],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert "utility value 'nan' is not finite" in proc.stderr
 
 
 class TestSweep:

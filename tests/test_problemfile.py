@@ -107,6 +107,11 @@ class TestErrors:
     def test_repeated_frame_value(self):
         assert "repeats" in str(parse_error("random R { x, x }"))
 
+    def test_frame_values_are_single_tokens(self):
+        err = parse_error("random R { x, y }\ndecision D { a b, c }\n")
+        assert err.line == 2
+        assert "'a b' of variable 'D' is not a single token" in str(err)
+
     def test_unknown_variable_in_utility(self):
         err = parse_error("decision D { a, b }\nutility u on {Z} { a = 1 }\n")
         assert "unknown variable 'Z'" in str(err)
@@ -172,6 +177,16 @@ class TestErrors:
     def test_bad_number(self):
         err = parse_error("decision D { a, b }\nutility u on {D} { a = one; b = 2 }\n")
         assert "bad utility value 'one'" in str(err)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_numbers(self, token):
+        err = parse_error("decision D { a, b }\nutility u on {D} { a = %s; b = 2 }\n" % token)
+        assert err.line == 2
+        assert "utility value %r is not finite" % token in str(err)
+        err = parse_error("random R { x, y }\nbpa m on {R} { {x} = %s; {y} = 1 }\n" % token)
+        assert "mass %r is not finite" % token in str(err)
+        err = parse_error("decision D { a }\nlambda = %s\n" % token)
+        assert "lambda %r is not finite" % token in str(err)
 
     def test_lambda_range_and_duplicates(self):
         assert "outside [0, 1]" in str(parse_error("decision D { a }\nlambda = 1.5\n"))

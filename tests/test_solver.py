@@ -10,6 +10,7 @@ from valnet import (
     ValnetError,
     bayesian_check,
     decision,
+    elimination_order,
     evaluate_strategy,
     expected_interval,
     fuse,
@@ -96,10 +97,10 @@ class TestFuse:
     def test_untouched_valuations_pass_through(self, wildcatter):
         net = wildcatter.network
         pool = list(net.utilities) + [p.ballooned for p in net.potentials]
-        new_pool, table = fuse(pool, net.by_name["O"], lam=0.5)
+        new_pool, step = fuse(pool, net.by_name["O"], lam=0.5)
         labels = {v.label for v in new_pool}
         assert labels == {"cost", "result", "elim_O"}
-        assert table is None
+        assert step.solution is None
 
     def test_missing_variable_rejected(self, wildcatter):
         net = wildcatter.network
@@ -119,6 +120,12 @@ class TestAgainstOracle:
                 assert fused.expected_value == pytest.approx(
                     joint.expected_value, rel=1e-6, abs=1e-9
                 )
+                # Tracing only keeps the steps; the solve itself is the same.
+                traced = solve(net, lam, trace=True)
+                assert traced.expected_value == fused.expected_value
+                assert traced.solutions == fused.solutions
+                assert traced.strategy.tables == fused.strategy.tables
+                assert len(traced.trace) == len(elimination_order(net))
 
     def test_strategy_replay_is_optimal(self):
         rng = random.Random(103)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,9 +8,11 @@ from valnet import (
     DomainMismatchError,
     KindError,
     MassError,
+    UtilityError,
     balloon,
     belief_of,
     combine,
+    conditional,
     decision,
     is_conditional,
     make_bpa,
@@ -76,6 +79,13 @@ class TestMakeBpa:
     def test_negative_mass(self):
         with pytest.raises(MassError):
             make_bpa([T], [(focal(T="t"), 1.5), (focal(T="~t"), -0.5)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mass(self, bad):
+        with pytest.raises(MassError, match="non-finite mass"):
+            make_bpa([T], [(focal(T="t"), bad), (focal(T="~t"), 0.0)])
+        with pytest.raises(MassError, match="non-finite mass"):
+            conditional(R, [T], {"t": [({"re"}, bad)], "~t": [({"nr"}, 1.0)]})
 
     def test_duplicate_focals_merge(self):
         b = make_bpa([T], [(focal(T="t"), 0.4), (focal(T="t"), 0.3), (focal(T="~t"), 0.3)])
@@ -157,6 +167,12 @@ class TestMakeUtility:
     def test_missing_configuration(self):
         with pytest.raises(DomainMismatchError):
             make_utility([T], {make_config({"T": "t"}): 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value(self, bad):
+        table = {make_config({"T": "t"}): bad, make_config({"T": "~t"}): 0.0}
+        with pytest.raises(UtilityError, match="not finite"):
+            make_utility([T], table)
 
 
 class TestVacuous:
