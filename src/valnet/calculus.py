@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
-from .model import ConfigSet, concat_configs, make_config, project_config
+from .model import RANDOM, ConfigSet, Variable, concat_configs, make_config, project_config
 from .valuation import BELIEF, GENERAL, UTILITY, Valuation, canonical_focals, support_key
 
 CONFLICT_TOL = 1e-12
@@ -148,7 +148,7 @@ def combine_all_traced(valuations):
             if beliefs:
                 mass /= norm
             values[z] = total * mass if others and beliefs else (mass if beliefs else total)
-        key = tuple(sorted(joint.members))
+        key = support_key(joint)
         if key in accum:
             old = accum[key][1]
             for z, val in values.items():
@@ -167,48 +167,50 @@ def combine_all_traced(valuations):
         raise TotalConflictError("no joint focal has a nonempty support")
 
     items = [
-        (joint, {z: math.fsum(sorted(vals)) for z, vals in values.items()})
+        (joint, _finite({z: _fsum(vals) for z, vals in values.items()}, "combined value"))
         for joint, values in accum.values()
     ]
     focals = canonical_focals(items, GENERAL if others else BELIEF)
     kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
-    prov = [provenance[tuple(sorted(f.support.members))] for f in focals]
+    prov = [provenance[support_key(f.support)] for f in focals]
     return Valuation(union, frames, kind, focals), prov
 
 
+def _fsum(vals):
+    """Exact sum in a fixed order; NaN where it is not a finite number."""
+    try:
+        return math.fsum(sorted(vals))
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _finite(values, what):
+    """``values`` as given if all are finite; else name the smallest bad configuration."""
+    bad = [x for x, val in values.items() if not math.isfinite(val)]
+    if bad:
+        raise SolverError("%s is not finite at %r" % (what, min(bad)))
+    return values
+
+
 def marginalize_belief(v, name):
-    """Project a belief valuation: masses of focals with equal projections add."""
+    """The valuation ``marginalize`` gives for a belief valuation, whose masses add."""
     if v.kind != BELIEF:
         raise KindError("marginalize_belief needs a belief valuation, got %r" % v.kind)
     if name not in v.domain:
         raise DomainMismatchError("%r is not in the valuation's domain" % name)
-    result, _ = _project_belief(v, v.domain - {name})
-    return result
-
-
-def _project_belief(v, rest):
-    """Belief projection to ``rest`` and, per result focal, the source masses."""
-    items = []
-    groups = {}
-    for idx, f in enumerate(v.focals):
-        proj = f.support.project(rest)
-        items.append((proj, {x: f.mass for x in proj}))
-        group = groups.setdefault(support_key(proj), {})
-        for x in proj:
-            group[(idx, x)] = f.mass
-    focals = canonical_focals(items, BELIEF)
-    frames = {n: f for n, f in v.frames.items() if n in rest}
-    result = Valuation(rest, frames, BELIEF, focals)
-    return result, [groups[support_key(f.support)] for f in focals]
+    return marginalize(v, Variable(name, RANDOM, v.frames[name]))[0]
 
 
 def marginalize(v, variable, lam=None, policy=None):
-    """Remove one variable from a valuation.
+    """Remove one variable from a valuation in one pass over its focals.
 
-    Belief valuations route to mass summation.  Otherwise a decision variable
-    is eliminated by maximization (recording a solution table, unless a
-    ``policy`` table dictates the act) and a random variable by the
-    lambda-weighted blend of maximum and minimum.
+    Each focal is split once by the projection of its configurations, and
+    focals with equal projected supports add up into one result focal.  At a
+    projected configuration each source focal contributes its mass (belief
+    valuations), the maximum of its values there (decision variables; a
+    ``policy`` table picks the act instead, and otherwise the best acts are
+    recorded in a solution table) or the lambda-weighted blend of that
+    maximum and minimum (random variables).
 
     Returns (valuation, solution table or None, contributions), where
     contributions is a list parallel to the result focals; each entry maps
@@ -219,59 +221,56 @@ def marginalize(v, variable, lam=None, policy=None):
     if name not in v.domain:
         raise DomainMismatchError("%r is not in the valuation's domain" % name)
     rest = v.domain - {name}
-    if v.kind == BELIEF:
-        result, contributions = _project_belief(v, rest)
-        return result, None, contributions
-
-    is_dec = variable.is_decision
-    if not is_dec:
+    belief = v.kind == BELIEF
+    is_dec = variable.is_decision and not belief
+    if not belief and not is_dec:
         lam = check_lambda(lam)
     frames = {n: f for n, f in v.frames.items() if n in rest}
 
-    # Group source focals by their projected support.
+    # Split each focal by projection, then group focals by projected support.
     groups = {}
     for idx, f in enumerate(v.focals):
-        proj = f.support.project(rest)
-        groups.setdefault(tuple(sorted(proj.members)), (proj, []))[1].append((idx, f))
+        slices = {}
+        for y in f.support:
+            slices.setdefault(project_config(y, rest), {})[y] = f.values[y]
+        # keys(): frozenset(dict) presizes, so the set would iterate in another order.
+        proj = ConfigSet(rest, frozenset(slices.keys()))
+        groups.setdefault(support_key(proj), (proj, []))[1].append((idx, f, slices))
 
     scores = {}
     focal_prefs = {}
     items = []
-    contributions = []
+    contributions = {}
     for key in sorted(groups):
         proj, members = groups[key]
         values = {}
         contribs = {}
         for x in proj:
             total = 0.0
-            for idx, f in members:
-                ext = {
-                    y: f.values[y]
-                    for y in f.support
-                    if project_config(y, rest) == x
-                }
-                if is_dec:
-                    if policy is not None:
-                        contrib = _policy_value(ext, x, name, policy)
-                    else:
-                        contrib = max(ext.values())
-                        acts = scores.setdefault(x, {})
-                        peaks = {}
-                        for y, val in ext.items():
-                            act = dict(y)[name]
-                            acts[act] = acts.get(act, 0.0) + val
-                            peaks[act] = max(peaks.get(act, val), val)
-                        focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
+            for idx, f, slices in members:
+                ext = slices[x]
+                if belief:
+                    contrib = f.mass
+                elif is_dec and policy is not None:
+                    contrib = _policy_value(ext, x, name, policy)
+                elif is_dec:
+                    # x and an act determine the configuration: one value per act.
+                    peaks = {dict(y)[name]: val for y, val in ext.items()}
+                    contrib = max(peaks.values())
+                    acts = scores.setdefault(x, {})
+                    for act, val in peaks.items():
+                        acts[act] = acts.get(act, 0.0) + val
+                    focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
                 else:
                     contrib = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
                 contribs[(idx, x)] = contrib
                 total += contrib
             values[x] = total
-        items.append((proj, values))
-        contributions.append(contribs)
+        items.append((proj, _finite(values, "marginal value")))
+        contributions[key] = contribs
 
-    focals = canonical_focals(items, GENERAL)
-    kind = _nonbelief_kind(rest, frames, focals)
+    focals = canonical_focals(items, BELIEF if belief else GENERAL)
+    kind = BELIEF if belief else _nonbelief_kind(rest, frames, focals)
     result = Valuation(rest, frames, kind, focals)
 
     table = None
@@ -283,7 +282,7 @@ def marginalize(v, variable, lam=None, policy=None):
             if len(focal_prefs[x]) > 1:
                 conflicts.add(x)
         table = SolutionTable(name, tuple(sorted(rest)), choices, frozenset(conflicts))
-    return result, table, contributions
+    return result, table, [contributions[support_key(f.support)] for f in focals]
 
 
 def _best_act(acts, frame):
@@ -301,6 +300,6 @@ def _policy_value(ext, x, name, policy):
     key = project_config(x, ctx & frozenset(n for n, _ in x))
     act = policy.choices.get(key)
     if act is None:
-        return max(ext.values())
+        raise SolverError("the policy for %r has no act for the context %r" % (name, key))
     y = concat_configs(x, make_config({name: act}))
     return ext.get(y, 0.0)

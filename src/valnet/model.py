@@ -62,13 +62,6 @@ def config_domain(x):
     return frozenset(name for name, _ in x)
 
 
-def config_value(x, name):
-    for var, value in x:
-        if var == name:
-            return value
-    raise DomainMismatchError("variable %r not in configuration %r" % (name, x))
-
-
 def project_config(x, h):
     """Drop the coordinates of x outside h.  Requires h to be a subset of x's domain."""
     h = frozenset(h)
@@ -114,9 +107,7 @@ class ConfigSet:
     @classmethod
     def of(cls, configs):
         configs = frozenset(configs)
-        if not configs:
-            raise DomainMismatchError("a configuration set must be nonempty")
-        return cls(config_domain(next(iter(configs))), configs)
+        return cls(config_domain(next(iter(configs), DIAMOND)), configs)
 
     def project(self, h):
         """Set image of configuration projection; duplicates collapse."""

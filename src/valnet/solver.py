@@ -172,6 +172,8 @@ def build_strategy(network, solutions):
         key = make_config(values)
         act = table.choices.get(key)
         if act is None:
+            # A context to which the joint valuation gives no mass has no
+            # entry; oracle_solve leaves the wildcatter's D at R=nr, T=t so.
             act = network.by_name[d].frame[0]
         return act
 

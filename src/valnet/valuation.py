@@ -200,12 +200,7 @@ def balloon(head, parents, tables, label=""):
     frames = frames_of(parents)
     frames[head.name] = tuple(head.frame)
     parent_configs = all_configs(parent_names, frames)
-    normalized = {}
-    for key, entries in tables.items():
-        cfg = key if isinstance(key, tuple) and (not key or isinstance(key[0], tuple)) else None
-        if cfg is None or set(n for n, _ in cfg) != parent_names:
-            raise DomainMismatchError("bad parent configuration key %r" % (key,))
-        normalized[cfg] = list(entries)
+    normalized = _parent_tables(parents, tables)
     missing = [c for c in parent_configs if c not in normalized]
     if missing or len(normalized) != len(parent_configs):
         raise DomainMismatchError(
@@ -215,7 +210,6 @@ def balloon(head, parents, tables, label=""):
     head_frame = set(head.frame)
     for cfg, entries in normalized.items():
         for subset, _ in entries:
-            subset = set(subset)
             if not subset or not subset <= head_frame:
                 raise MassError(
                     "focal %r is not a nonempty subset of the frame of %r"
@@ -248,11 +242,7 @@ def is_conditional(v, head_name, tol=MASS_TOL):
         raise DomainMismatchError("%r is not in the valuation's domain" % head_name)
     from .calculus import marginalize_belief
 
-    marginal = marginalize_belief(v, head_name)
-    if not marginal.domain:
-        # Degenerate parents: the marginal is the unit mass on the diamond.
-        return abs(sum(f.mass for f in marginal.focals) - 1.0) <= tol
-    return is_vacuous(marginal, tol)
+    return is_vacuous(marginalize_belief(v, head_name), tol)
 
 
 @dataclass(frozen=True)
@@ -270,30 +260,33 @@ class ConditionalPotential:
         return self.ballooned.domain
 
 
-def conditional(head, parents, tables, label=""):
-    """Build a conditional potential, normalizing table keys to configurations.
+def _parent_tables(parents, tables):
+    """Per-parent tables keyed by canonical parent configurations.
 
-    ``tables`` may be keyed either by canonical parent configurations or by
-    tuples of parent values in the order the parents are listed.
+    A key is either a canonical parent configuration or a tuple of parent
+    values (a bare value for one parent) in the order the parents are listed.
     """
-    parents = tuple(parents)
-    if head.kind != "random":
-        raise NetworkError("conditional potential head %r must be random" % head.name)
+    names = [p.name for p in parents]
     normalized = {}
     for key, entries in tables.items():
-        if isinstance(key, tuple) and key and isinstance(key[0], tuple):
-            cfg = key
-        else:
+        cfg = key
+        if not (isinstance(key, tuple) and (not key or isinstance(key[0], tuple))):
             values = key if isinstance(key, tuple) else (key,)
-            if len(values) != len(parents):
-                raise DomainMismatchError(
-                    "parent key %r does not match parents %r"
-                    % (key, [p.name for p in parents])
-                )
-            cfg = make_config({p.name: v for p, v in zip(parents, values)})
+            cfg = make_config(dict(zip(names, values))) if len(values) == len(names) else None
+        if cfg is None or set(n for n, _ in cfg) != set(names):
+            raise DomainMismatchError("parent key %r does not match parents %r" % (key, names))
         if cfg in normalized:
             raise DomainMismatchError("duplicate table for parent %r" % (cfg,))
         normalized[cfg] = tuple((frozenset(s), float(m)) for s, m in entries)
+    return normalized
+
+
+def conditional(head, parents, tables, label=""):
+    """Build a conditional potential, normalizing table keys to configurations."""
+    parents = tuple(parents)
+    if head.kind != "random":
+        raise NetworkError("conditional potential head %r must be random" % head.name)
+    normalized = _parent_tables(parents, tables)
     ballooned = balloon(head, parents, normalized, label=label)
     return ConditionalPotential(head, parents, normalized, ballooned, label)
 

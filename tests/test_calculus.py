@@ -4,6 +4,7 @@ import pytest
 
 from valnet import (
     ConfigSet,
+    SolverError,
     TotalConflictError,
     combine,
     combine_all,
@@ -156,6 +157,27 @@ class TestMixedCombination:
         for sources in prov:
             assert all(len(s) == 2 for s in sources)
 
+    def test_overflowing_sum_is_a_solver_error(self):
+        a = random_var("A", ("a", "b"))
+        table = {cfg(A="a"): 1e308, cfg(A="b"): -1e308}
+        with pytest.raises(SolverError, match=r"combined value is not finite at \(\('A', 'a'\),\)"):
+            combine_all([make_utility([a], table), make_utility([a], table)])
+
+    def test_overflow_across_joint_focals_is_a_solver_error(self):
+        # Two joint focals with one support: their values meet in one exact
+        # sum, which overflows although each value is finite.
+        a = random_var("A", ("a", "b"))
+        b = random_var("B", ("b1", "b2"))
+        frames = {"A": a.frame, "B": b.frame}
+        big = {cfg(A="a", B="b1"): 1e308, cfg(A="b", B="b1"): 1.0}
+        wide = {**big, cfg(A="a", B="b2"): 0.0}
+        v = general_valuation(
+            {"A", "B"}, frames, [(ConfigSet.of(list(big)), big), (ConfigSet.of(list(wide)), wide)]
+        )
+        cut = make_bpa([b], [(cset({"B": "b1"}), 1.0)])
+        with pytest.raises(SolverError, match=r"combined value is not finite at \(\('A', 'a'\),"):
+            combine_all([v, cut])
+
 
 def general_valuation(domain, frames, items):
     return Valuation(
@@ -294,6 +316,18 @@ class TestMarginalizeRandom:
             )
             assert v0 == pytest.approx(expect)
             assert v1 == pytest.approx(expect)
+
+    def test_overflowing_total_is_a_solver_error(self):
+        a = random_var("A", ("a1", "a2"))
+        b = random_var("B", ("b1", "b2"))
+        frames = {"A": a.frame, "B": b.frame}
+        f1 = {cfg(A="a1", B="b1"): 1e308, cfg(A="a1", B="b2"): 1e308}
+        f2 = {cfg(A="a1", B="b1"): 1e308}
+        v = general_valuation(
+            {"A", "B"}, frames, [(ConfigSet.of(list(f1)), f1), (ConfigSet.of(list(f2)), f2)]
+        )
+        with pytest.raises(SolverError, match=r"marginal value is not finite at \(\('A', 'a1'\),\)"):
+            marginalize(v, b, lam=0.5)
 
     def test_missing_variable_rejected(self):
         v = make_utility([D], {cfg(D="d"): 1.0, cfg(D="~d"): 0.0})

@@ -132,6 +132,27 @@ class TestSolve:
         assert proc.stdout == ""
         assert "utility value 'nan' is not finite" in proc.stderr
 
+    @pytest.mark.parametrize("hash_seed", ["1", "2", "3"])
+    def test_overflowing_utilities_are_a_solver_error(self, tmp_path, hash_seed):
+        # Sums past the largest float once gave NaN and a hash-seed-dependent
+        # crash or strategy.
+        row = "a x = 1e308; a y = -1e308; b x = 0; b y = 0"
+        text = (
+            "decision D { a, b }\nrandom X { x, y }\nprec D -> X\n"
+            "utility u1 on {D, X} { %s }\nutility u2 on {D, X} { %s }\n"
+            "bpa p on {X | D} { a : {x, y} = 1; b : {x, y} = 1 }\nlambda = 0.5\n" % (row, row)
+        )
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "valnet.cli", "solve", write(tmp_path, text)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_SOLVER
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "solver error: combined value is not finite at (('D', 'a'), ('X', 'x'))\n"
+        )
+
 
 class TestSweep:
     def test_grid(self, capsys):

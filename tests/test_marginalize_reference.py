@@ -1,0 +1,126 @@
+"""One elimination step against a reference written from its definition.
+
+``oracle_solve`` eliminates with the same ``marginalize`` as ``solve``, so it
+cannot catch an error in how that function groups focals.  The reference here
+scans each source focal's whole support once for every projected
+configuration: slow, but with no grouping to get wrong.
+"""
+
+import random
+
+import pytest
+
+from valnet import combine_all, decision, marginalize, random_var
+from valnet.calculus import marginalize_belief
+from valnet.model import project_config
+from valnet.valuation import BELIEF, GENERAL, UTILITY
+
+from netgen import random_network
+
+
+def first_best(values, frame):
+    best = max(values.values())
+    return next(a for a in frame if a in values and values[a] == best)
+
+
+def reference_step(v, variable, lam=None):
+    """Remove ``variable`` from ``v`` by the definition of the deletion rule.
+
+    Returns (focals, contributions, totals, preferences): focals maps each
+    projected support (a frozenset) to {x: value} and contributions maps it to
+    {(source focal index, x): value}.  For a decision, totals maps x to the
+    per-act sums and preferences maps x to the best act of each source focal.
+    """
+    name = variable.name
+    rest = v.domain - {name}
+    groups = {}
+    for idx, f in enumerate(v.focals):
+        proj = frozenset(project_config(y, rest) for y in f.support)
+        groups.setdefault(proj, []).append((idx, f))
+    focals, contributions, totals, preferences = {}, {}, {}, {}
+    for proj, members in groups.items():
+        values, contribs = {}, {}
+        for x in proj:
+            for idx, f in members:
+                ext = {y: f.values[y] for y in f.support if project_config(y, rest) == x}
+                if v.kind == BELIEF:
+                    value = f.mass
+                elif variable.is_decision:
+                    by_act = {dict(y)[name]: val for y, val in ext.items()}
+                    value = max(by_act.values())
+                    for act, val in by_act.items():
+                        totals.setdefault(x, {}).setdefault(act, []).append(val)
+                    preferences.setdefault(x, set()).add(first_best(by_act, variable.frame))
+                else:
+                    value = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
+                contribs[(idx, x)] = value
+                values[x] = values.get(x, 0.0) + value
+        if v.kind == BELIEF and all(val == 0 for val in values.values()):
+            continue
+        focals[proj] = values
+        contributions[proj] = contribs
+    return focals, contributions, totals, preferences
+
+
+def check_step(v, variable, lam=None):
+    result, table, contributions = marginalize(v, variable, lam=lam)
+    focals, ref_contributions, totals, preferences = reference_step(v, variable, lam)
+    assert result.domain == v.domain - {variable.name}
+    assert {f.support.members: f.values for f in result.focals} == focals
+    supports = [f.support.members for f in result.focals]
+    assert dict(zip(supports, contributions)) == ref_contributions
+    if v.kind == BELIEF:
+        assert result.kind == BELIEF
+    else:
+        full = result.full_frame_size()
+        spans = len(focals) == 1 and len(supports[0]) == full
+        assert result.kind == (UTILITY if spans else GENERAL)
+    if v.kind == BELIEF or not variable.is_decision:
+        assert table is None
+        return result
+    assert table.context == tuple(sorted(result.domain))
+    assert set(table.choices) == set(totals)
+    for x, acts in totals.items():
+        sums = {act: sum(vals) for act, vals in acts.items()}
+        best = max(sums.values())
+        # Summation order may differ from the reference's: allow rounding.
+        near = [a for a, s in sums.items() if best - s <= 1e-9 * max(1.0, abs(best))]
+        assert table.choices[x] in near
+        if len(near) == 1:
+            assert table.choices[x] == first_best(sums, variable.frame)
+    assert table.conflicts == frozenset(x for x, p in preferences.items() if len(p) > 1)
+    return result
+
+
+@pytest.fixture(scope="module")
+def networks():
+    rng = random.Random(20260823)
+    return [random_network(rng) for _ in range(60)]
+
+
+def test_decision_and_random_steps_match_reference(networks):
+    steps = 0
+    for net in networks:
+        v = combine_all(list(net.utilities) + [p.ballooned for p in net.potentials])
+        for name in sorted(v.domain):
+            frame = v.frames[name]
+            check_step(v, decision(name, frame))
+            for lam in (0.0, 0.3, 1.0):
+                check_step(v, random_var(name, frame), lam)
+            steps += 4
+    assert steps > 200
+
+
+def test_belief_steps_match_reference(networks):
+    steps = 0
+    for net in networks:
+        if not net.potentials:
+            continue
+        v = combine_all([p.ballooned for p in net.potentials])
+        for name in sorted(v.domain):
+            frame = v.frames[name]
+            result = check_step(v, random_var(name, frame))
+            assert check_step(v, decision(name, frame)) == result
+            assert marginalize_belief(v, name) == result
+            steps += 1
+    assert steps > 50

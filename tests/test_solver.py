@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -234,6 +235,15 @@ class TestPropagation:
 
 
 class TestGuards:
+    def test_policy_without_an_act_for_a_context_raises(self, wildcatter):
+        net = wildcatter.network
+        table = solve(net, 0.5).solutions["D"]
+        choices = dict(table.choices)
+        del choices[cfg(R="gr")]
+        policy = replace(table, choices=choices)
+        with pytest.raises(SolverError, match=r"policy for 'D' has no act for the context \(\('R', 'gr'\),\)"):
+            solve(net, 0.5, policy_tables={"D": policy})
+
     def test_invalid_network_raises(self, wildcatter):
         net = wildcatter.network
         broken = Network(

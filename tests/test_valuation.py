@@ -243,6 +243,18 @@ class TestBalloon:
         with pytest.raises(DomainMismatchError):
             balloon(R, [T], {make_config({"T": "t"}): [({"re"}, 1.0)]})
 
+    def test_parent_value_keys_match_configuration_keys(self):
+        by_values = {("t",): RESULT_TABLES[make_config({"T": "t"})], "~t": [({"nr"}, 1.0)]}
+        assert balloon(R, [T], by_values) == balloon(R, [T], RESULT_TABLES)
+        assert conditional(R, [T], by_values).tables == conditional(R, [T], RESULT_TABLES).tables
+
+    @pytest.mark.parametrize("key", [("t", "re"), make_config({"R": "re"})])
+    def test_parent_key_for_other_variables(self, key):
+        tables = {key: [({"dr"}, 1.0)], ("~t",): [({"dr"}, 1.0)]}
+        for build in (balloon, conditional):
+            with pytest.raises(DomainMismatchError, match="does not match parents"):
+                build(O, [T], tables)
+
     def test_ballooned_projection_onto_head(self):
         v = balloon(R, [T], RESULT_TABLES)
         proj = v.focals[0].support.project({"T"})
