@@ -1,22 +1,23 @@
 """Combination and marginalization of valuations.
 
-Combination intersects cylinder-extended focals pairwise: belief with belief
-follows Dempster's rule (product, normalized by one minus the conflict),
-non-belief with non-belief adds values, and a mixed pair multiplies without
-normalization.  Marginalization removes one variable at a time: a maximum for
-decision variables and a lambda-weighted blend of maximum and minimum for
-random variables; belief valuations reduce to plain mass summation over
-projected supports.
+Combination hash-joins one focal per input on their shared variables: belief
+with belief follows Dempster's rule (product, normalized by one minus the
+conflict), non-belief with non-belief adds values, and a mixed pair multiplies
+without normalization.  Marginalization removes one variable at a time: a
+maximum for decision variables and a lambda-weighted blend of maximum and
+minimum for random variables; belief valuations reduce to plain mass summation
+over projected supports.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
-from .model import RANDOM, ConfigSet, Variable, concat_configs, make_config, project_config
+from .model import DIAMOND, RANDOM, ConfigSet, Variable, concat_configs, make_config, project_config
 from .valuation import BELIEF, GENERAL, UTILITY, Valuation, canonical_focals, support_key
 
 CONFLICT_TOL = 1e-12
@@ -57,24 +58,45 @@ def _merge_frames(valuations):
 
 def _nonbelief_kind(domain, frames, focals):
     """A non-belief result is a utility valuation iff one focal spans the frame."""
-    if len(focals) != 1:
-        return GENERAL
-    full = 1
-    for name in domain:
-        full *= len(frames[name])
-    return UTILITY if len(focals[0].support) == full else GENERAL
+    full = math.prod(len(frames[name]) for name in domain)
+    return UTILITY if len(focals) == 1 and len(focals[0].support) == full else GENERAL
 
 
-def _joint_support(supports, domains, union, frames):
-    """Intersection of the cylinder extensions of several supports, or None."""
-    members = supports[0].extend(union, frames).members
-    for support, domain in zip(supports[1:], domains[1:]):
-        members = frozenset(
-            z for z in members if project_config(z, domain) in support.members
-        )
-        if not members:
-            return None
-    return ConfigSet(union, members)
+def _projector(names, domain):
+    """Function from a tuple over ``names`` to its items over ``domain`` in name order."""
+    positions = [names.index(n) for n in sorted(domain) if n in names]
+    if len(positions) == 1:  # itemgetter would give the bare item
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
+    return operator.itemgetter(*positions) if positions else lambda x: DIAMOND
+
+
+def _joint_supports(parts, domains):
+    """Nonempty joint supports of every choice of one member set per part.
+
+    ``parts[i]`` maps index tuples to member sets over ``domains[i]``.  From the
+    diamond on, each part is hash-joined in on the shared variables, and a fixed
+    permutation puts the merged pairs into name order.  Returns {concatenated
+    index tuple: configurations over the sorted union}, in product order.
+    """
+    names, level = [], {(): [DIAMOND]}
+    for part, domain in zip(parts, domains):
+        inner = sorted(domain)
+        new = [n for n in inner if n not in names]
+        key, inner_key = _projector(names, inner), _projector(inner, names)
+        extra = _projector(inner, new)
+        merged = names + new
+        names = sorted(merged)
+        order = _projector(merged, names) if merged != names else None
+        indexes = {k: {} for k in part}
+        for k, members in part.items():
+            for y in members:
+                indexes[k].setdefault(inner_key(y), []).append(extra(y))
+        level = {
+            combo + k: list(map(order, out)) if order else out
+            for combo, acc in level.items() for k, index in indexes.items()
+            if (out := [z + e for z in acc for e in index.get(key(z), ())])
+        }
+    return level
 
 
 def combine(vi, vj):
@@ -91,9 +113,10 @@ def combine_all(valuations):
 def combine_all_traced(valuations):
     """N-ary combination: values of non-beliefs add, belief masses multiply.
 
-    Joint supports come from intersecting all cylinder extensions; the belief
-    part is renormalized by one minus the total conflict among the beliefs.
-    Non-beliefs are combined before beliefs.
+    Joint supports are hash joins on the shared variables.  The joint of each
+    combination of belief focals is built once: the empty ones make up the
+    conflict, by which the belief part is renormalized, and the non-belief
+    focals are joined with the others.  Non-beliefs are combined before beliefs.
 
     Returns (valuation, provenance) where provenance is a list parallel to the
     result focals; each entry lists tuples of focal indices, one per input
@@ -110,60 +133,40 @@ def combine_all_traced(valuations):
     union = frozenset().union(*(v.domain for v in inputs))
     frames = _merge_frames(inputs)
 
+    parts = [{(i,): f.support.members for i, f in enumerate(v.focals)} for v in inputs]
+    domains = [v.domain for v in inputs]
+    belief_joints = _joint_supports(parts[n_others:], domains[n_others:])
+    clashes = [
+        math.prod(v.focals[i].mass for v, i in zip(beliefs, combo))
+        for combo in itertools.product(*(range(len(v.focals)) for v in beliefs))
+        if combo not in belief_joints
+    ]
     # fsum keeps the conflict independent of the iteration order, so swapping
     # the arguments yields bit-identical results.
-    clashes = []
-    if len(beliefs) >= 2:
-        belief_union = frozenset().union(*(v.domain for v in beliefs))
-        for combo in itertools.product(*(v.focals for v in beliefs)):
-            joint = _joint_support(
-                [f.support for f in combo], [v.domain for v in beliefs],
-                belief_union, frames,
-            )
-            if joint is None:
-                mass = 1.0
-                for f in combo:
-                    mass *= f.mass
-                clashes.append(mass)
     norm = 1.0 - math.fsum(sorted(clashes))
     if beliefs and norm <= CONFLICT_TOL:
         raise TotalConflictError("belief functions are in total conflict")
 
-    accum = {}
-    provenance = {}
-    domains = [v.domain for v in inputs]
-    for combo in itertools.product(*(range(len(v.focals)) for v in inputs)):
+    belief_union = frozenset().union(*domains[n_others:])
+    joints = _joint_supports(parts[:n_others] + [belief_joints], domains[:n_others] + [belief_union])
+    projectors = [_projector(sorted(union), v.domain) for v in others]
+    accum, provenance = {}, {}
+    for combo, members in joints.items():
         focals = [v.focals[i] for v, i in zip(inputs, combo)]
-        joint = _joint_support([f.support for f in focals], domains, union, frames)
-        if joint is None:
-            continue
-        values = {}
+        adds = [(project, f.values) for project, f in zip(projectors, focals)]
+        mass = math.prod(f.mass for f in focals[n_others:]) / norm
+        joint = ConfigSet(union, frozenset(members))
+        key = joint.members
+        sums = accum.setdefault(key, (joint, {}))[1]
         for z in joint:
             total = 0.0
-            for v, f in zip(others, focals[: len(others)]):
-                total += f.values[project_config(z, v.domain)]
-            mass = 1.0
-            for v, f in zip(beliefs, focals[len(others):]):
-                mass *= f.values[project_config(z, v.domain)]
-            if beliefs:
-                mass /= norm
-            values[z] = total * mass if others and beliefs else (mass if beliefs else total)
-        key = support_key(joint)
-        if key in accum:
-            old = accum[key][1]
-            for z, val in values.items():
-                old[z].append(val)
-        else:
-            accum[key] = (joint, {z: [val] for z, val in values.items()})
-        source = [0] * len(order)
-        for position, i in zip(order, combo):
-            source[position] = i
-        provenance.setdefault(key, []).append(tuple(source))
+            for project, vals in adds:
+                total += vals[project(z)]
+            # Without beliefs mass is 1.0, and total * 1.0 is total.
+            sums.setdefault(z, []).append(total * mass if others else mass)
+        provenance.setdefault(key, []).append(tuple(i for _, i in sorted(zip(order, combo))))
 
     if not accum:
-        # Only possible for mixed pairs whose supports never meet; with valid
-        # belief inputs a full-frame choice always intersects, so treat this
-        # as conflict.
         raise TotalConflictError("no joint focal has a nonempty support")
 
     items = [
@@ -172,7 +175,7 @@ def combine_all_traced(valuations):
     ]
     focals = canonical_focals(items, GENERAL if others else BELIEF)
     kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
-    prov = [provenance[support_key(f.support)] for f in focals]
+    prov = [provenance[f.support.members] for f in focals]
     return Valuation(union, frames, kind, focals), prov
 
 
@@ -228,11 +231,12 @@ def marginalize(v, variable, lam=None, policy=None):
     frames = {n: f for n, f in v.frames.items() if n in rest}
 
     # Split each focal by projection, then group focals by projected support.
+    project = _projector(sorted(v.domain), rest)
     groups = {}
     for idx, f in enumerate(v.focals):
         slices = {}
         for y in f.support:
-            slices.setdefault(project_config(y, rest), {})[y] = f.values[y]
+            slices.setdefault(project(y), {})[y] = f.values[y]
         # keys(): frozenset(dict) presizes, so the set would iterate in another order.
         proj = ConfigSet(rest, frozenset(slices.keys()))
         groups.setdefault(support_key(proj), (proj, []))[1].append((idx, f, slices))
@@ -275,13 +279,9 @@ def marginalize(v, variable, lam=None, policy=None):
 
     table = None
     if is_dec and policy is None:
-        choices = {}
-        conflicts = set()
-        for x, acts in scores.items():
-            choices[x] = _best_act(acts, variable.frame)
-            if len(focal_prefs[x]) > 1:
-                conflicts.add(x)
-        table = SolutionTable(name, tuple(sorted(rest)), choices, frozenset(conflicts))
+        choices = {x: _best_act(acts, variable.frame) for x, acts in scores.items()}
+        conflicts = frozenset(x for x, prefs in focal_prefs.items() if len(prefs) > 1)
+        table = SolutionTable(name, tuple(sorted(rest)), choices, conflicts)
     return result, table, [contributions[support_key(f.support)] for f in focals]
 
 

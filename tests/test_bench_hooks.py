@@ -15,13 +15,51 @@ import run  # noqa: E402
 import tracer  # noqa: E402
 
 
-def test_cli_solve_reaches_every_required_hook(capsys):
+CHAIN = """\
+random A { a0, a1 }
+random B { b0, b1, b2 }
+random C { c0, c1 }
+prec A -> B
+prec B -> C
+
+bpa pa on {A} { {a0} = 0.7; {a0, a1} = 0.3 }
+
+bpa pb on {B | A} {
+  a0 : {b0, b1} = 0.6;
+  a0 : {b2} = 0.4;
+  a1 : {b1} = 1
+}
+
+bpa pc on {C | B} {
+  b0 : {c0} = 1;
+  b1 : {c0, c1} = 0.5;
+  b1 : {c1} = 0.5;
+  b2 : {c1} = 1
+}
+"""
+
+
+def traced_main(argv):
     hooks = tracer.Tracer()  # raises if a wrapped name is gone
     hooks.install()
     try:
-        assert cli.main(["solve", str(WILDCATTER_PATH)]) == cli.EXIT_OK
+        code = cli.main(argv)
     finally:
         hooks.uninstall()
-    missing = [h for h in run.REQUIRED_HOOKS["cli-wildcatter"] if not hooks.calls.get(h)]
-    assert missing == []
+    return code, hooks.calls
+
+
+def test_cli_solve_reaches_every_required_hook(capsys):
+    code, calls = traced_main(["solve", str(WILDCATTER_PATH)])
+    assert code == cli.EXIT_OK
+    assert [h for h in run.REQUIRED_HOOKS["cli-wildcatter"] if not calls.get(h)] == []
     assert "expected value 27500" in capsys.readouterr().out
+
+
+def test_cli_marginal_reaches_every_required_hook(capsys, tmp_path):
+    path = tmp_path / "chain.vn"
+    path.write_text(CHAIN)
+    code, calls = traced_main(["marginal", "--target", "C", str(path)])
+    assert code == cli.EXIT_OK
+    assert [h for h in run.REQUIRED_HOOKS["marginal-chains"] if not calls.get(h)] == []
+    assert capsys.readouterr().out.startswith("marginal bpa for C")

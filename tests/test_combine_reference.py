@@ -1,0 +1,262 @@
+"""Combination against the search it replaced, bit for bit.
+
+The reference builds each joint support the slow way: it extends the first
+support to the union domain by the cylinder extension and keeps the
+configurations whose projection lies in every other support.  It runs the
+conflict search and the main search separately, as the definition reads.
+``combine_all_traced`` must agree with it on the domain, kind, supports,
+values (to the bit) and provenance, and raise the same error where it raises.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from valnet import (
+    ConfigSet,
+    TotalConflictError,
+    ValnetError,
+    elimination_order,
+    make_bpa,
+    make_config,
+    make_utility,
+    marginalize,
+    random_var,
+)
+from valnet.calculus import (
+    CONFLICT_TOL,
+    _finite,
+    _fsum,
+    _merge_frames,
+    _nonbelief_kind,
+    combine_all_traced,
+)
+from valnet.model import project_config
+from valnet.solver import fuse
+from valnet.valuation import BELIEF, GENERAL, Valuation, canonical_focals, support_key
+
+from netgen import random_network
+
+X = random_var("X", ("a", "b", "c"))
+Y = random_var("Y", ("p", "q"))
+Z = random_var("Z", ("s", "t"))
+
+
+def _joint_support(supports, domains, union, frames):
+    members = supports[0].extend(union, frames).members
+    for support, domain in zip(supports[1:], domains[1:]):
+        members = frozenset(z for z in members if project_config(z, domain) in support.members)
+        if not members:
+            return None
+    return ConfigSet(union, members)
+
+
+def reference_combine(valuations):
+    """``combine_all_traced`` by extension and filtering, one search per pass."""
+    valuations = list(valuations)
+    order = [i for i, v in enumerate(valuations) if v.kind != BELIEF]
+    n_others = len(order)
+    order += [i for i, v in enumerate(valuations) if v.kind == BELIEF]
+    inputs = [valuations[i] for i in order]
+    others, beliefs = inputs[:n_others], inputs[n_others:]
+    union = frozenset().union(*(v.domain for v in inputs))
+    frames = _merge_frames(inputs)
+
+    clashes = []
+    if len(beliefs) >= 2:
+        belief_union = frozenset().union(*(v.domain for v in beliefs))
+        for combo in itertools.product(*(v.focals for v in beliefs)):
+            joint = _joint_support(
+                [f.support for f in combo], [v.domain for v in beliefs], belief_union, frames
+            )
+            if joint is None:
+                mass = 1.0
+                for f in combo:
+                    mass *= f.mass
+                clashes.append(mass)
+    norm = 1.0 - math.fsum(sorted(clashes))
+    if beliefs and norm <= CONFLICT_TOL:
+        raise TotalConflictError("belief functions are in total conflict")
+
+    accum = {}
+    provenance = {}
+    domains = [v.domain for v in inputs]
+    for combo in itertools.product(*(range(len(v.focals)) for v in inputs)):
+        focals = [v.focals[i] for v, i in zip(inputs, combo)]
+        joint = _joint_support([f.support for f in focals], domains, union, frames)
+        if joint is None:
+            continue
+        values = {}
+        for z in joint:
+            total = 0.0
+            for v, f in zip(others, focals[:n_others]):
+                total += f.values[project_config(z, v.domain)]
+            mass = 1.0
+            for v, f in zip(beliefs, focals[n_others:]):
+                mass *= f.values[project_config(z, v.domain)]
+            if beliefs:
+                mass /= norm
+            values[z] = total * mass if others and beliefs else (mass if beliefs else total)
+        key = support_key(joint)
+        accum.setdefault(key, (joint, {}))
+        for z, val in values.items():
+            accum[key][1].setdefault(z, []).append(val)
+        source = [0] * len(order)
+        for position, i in zip(order, combo):
+            source[position] = i
+        provenance.setdefault(key, []).append(tuple(source))
+    if not accum:
+        raise TotalConflictError("no joint focal has a nonempty support")
+    items = [
+        (joint, _finite({z: _fsum(vals) for z, vals in values.items()}, "combined value"))
+        for joint, values in accum.values()
+    ]
+    focals = canonical_focals(items, GENERAL if others else BELIEF)
+    kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
+    return Valuation(union, frames, kind, focals), [provenance[support_key(f.support)] for f in focals]
+
+
+def outcome(combine, valuations):
+    """What ``combine`` gives, with every float as its exact hex form."""
+    try:
+        v, provenance = combine(valuations)
+    except ValnetError as e:
+        return type(e), str(e)
+    focals = [
+        (support_key(f.support), sorted((z, val.hex()) for z, val in f.values.items()))
+        for f in v.focals
+    ]
+    return sorted(v.domain), v.frames, v.kind, focals, provenance
+
+
+def check(valuations):
+    got = outcome(combine_all_traced, valuations)
+    assert got == outcome(reference_combine, valuations)
+    return got
+
+
+def fusion_pools(net, lam, beliefs_only=False):
+    """Every touched pool of a solve (or of a propagation), then the final pool."""
+    pool = [p.ballooned for p in net.potentials]
+    if not beliefs_only:
+        pool = list(net.utilities) + pool
+    for name in elimination_order(net):
+        touched = [v for v in pool if name in v.domain]
+        if touched:
+            yield touched
+            pool, _ = fuse(pool, net.by_name[name], lam=lam)
+    yield pool
+
+
+@pytest.fixture(scope="module")
+def networks():
+    rng = random.Random(20260823)
+    return [random_network(rng) for _ in range(60)]
+
+
+def test_every_fusion_pool_matches_reference(networks):
+    pools = mixed = 0
+    for net in networks:
+        for pool in fusion_pools(net, 0.3):
+            check(pool)
+            pools += 1
+            mixed += len({v.kind == BELIEF for v in pool}) == 2
+    assert pools > 200 and mixed > 50
+
+
+def test_belief_only_pools_match_reference(networks):
+    pools = joined = 0
+    for net in networks:
+        if net.potentials:
+            for pool in fusion_pools(net, None, beliefs_only=True):
+                check(pool)
+                pools += 1
+                joined += len(pool) > 1
+    assert pools > 100 and joined > 10
+
+
+def bpa(variables, pairs):
+    """A bpa from (list of {name: value} dicts, mass) pairs."""
+    return make_bpa(variables, [(ConfigSet.of([make_config(d) for d in ds]), m) for ds, m in pairs])
+
+
+def general(variables, entries):
+    """A general valuation with one focal per {configuration: value} dict."""
+    frames = {v.name: v.frame for v in variables}
+    items = [
+        (ConfigSet.of(list(values)), values)
+        for values in ({make_config(d): val for d, val in entry} for entry in entries)
+    ]
+    domain = frozenset(frames)
+    return Valuation(domain, frames, GENERAL, canonical_focals(items, GENERAL))
+
+
+def test_disjoint_domains_give_a_cross_product():
+    bx = bpa([X], [([{"X": "a"}, {"X": "b"}], 0.7), ([{"X": "c"}], 0.3)])
+    by = bpa([Y], [([{"Y": "p"}], 0.4), ([{"Y": "p"}, {"Y": "q"}], 0.6)])
+    u = make_utility([Z], {make_config({"Z": "s"}): 2.5, make_config({"Z": "t"}): -1.0})
+    v = combine_all_traced([bx, by])[0]
+    assert sorted(len(f.support) for f in v.focals) == [1, 2, 2, 4]
+    check([bx, by])
+    check([bx, u, by])
+    check([u, bx])
+
+
+def test_empty_domain_valuations_combine_like_the_final_pool():
+    bx = bpa([X], [([{"X": "a"}], 0.25), ([{"X": "b"}, {"X": "c"}], 0.75)])
+    u = make_utility([X], {make_config({"X": x}): float(i) for i, x in enumerate(X.frame)})
+    final_belief = marginalize(bx, X)[0]
+    final_utility = marginalize(combine_all_traced([u, bx])[0], X, lam=0.3)[0]
+    assert final_belief.domain == final_utility.domain == frozenset()
+    check([final_utility, final_belief])
+    check([final_utility, final_utility])
+    check([final_belief, final_belief, final_utility])
+
+
+def test_one_valuation_passed_twice():
+    bxy = bpa([X, Y], [
+        ([{"X": "a", "Y": "p"}, {"X": "b", "Y": "q"}], 0.5),
+        ([{"X": "c", "Y": "q"}], 0.2),
+        ([{"X": x, "Y": y} for x in X.frame for y in Y.frame], 0.3),
+    ])
+    u = make_utility([Y], {make_config({"Y": "p"}): 3.0, make_config({"Y": "q"}): 5.0})
+    check([bxy, bxy])
+    check([u, bxy, u])
+    check([bxy, u, bxy])
+
+
+def test_pairwise_meeting_beliefs_with_an_empty_triple_joint():
+    s1 = [{"X": "a"}, {"X": "b"}]
+    s2 = [{"X": "b", "Y": "p"}, {"X": "c", "Y": "p"}]
+    s3 = [{"X": "a", "Y": "p"}, {"X": "c", "Y": "q"}, {"X": "c", "Y": "p"}]
+    sets = [ConfigSet.of([make_config(d) for d in s]) for s in (s1, s2, s3)]
+    frames = {"X": X.frame, "Y": Y.frame}
+    union = frozenset("XY")
+    for pair in itertools.combinations(sets, 2):
+        assert _joint_support(pair, [s.domain for s in pair], union, frames) is not None
+    assert _joint_support(sets, [s.domain for s in sets], union, frames) is None
+
+    everywhere = [{"X": x, "Y": y} for x in X.frame for y in Y.frame]
+    b1 = bpa([X], [(s1, 0.6), ([{"X": x} for x in X.frame], 0.4)])
+    b2 = bpa([X, Y], [(s2, 0.5), (everywhere, 0.5)])
+    b3 = bpa([X, Y], [(s3, 0.7), ([{"X": "b", "Y": "q"}], 0.3)])
+    for pair in itertools.combinations([b1, b2, b3], 2):
+        assert check(list(pair))[2] == BELIEF
+    for pool in itertools.permutations([b1, b2, b3]):
+        check(list(pool))
+
+
+def test_belief_pool_in_total_conflict():
+    b1 = bpa([X], [([{"X": "a"}], 1.0)])
+    b2 = bpa([X, Y], [([{"X": "b", "Y": "p"}, {"X": "c", "Y": "q"}], 1.0)])
+    assert check([b1, b2]) == (TotalConflictError, "belief functions are in total conflict")
+
+
+def test_mixed_pool_whose_supports_never_meet_the_belief_joints():
+    b = bpa([X, Y], [([{"X": "a", "Y": "p"}], 0.5), ([{"X": "b", "Y": "q"}], 0.5)])
+    g = general([X], [[({"X": "c"}, 1.0)]])
+    assert check([g, b]) == (TotalConflictError, "no joint focal has a nonempty support")
+    g2 = general([Y, Z], [[({"Y": "q", "Z": "s"}, 2.0)], [({"Y": "p", "Z": "t"}, -1.0)]])
+    check([g, g2, b])

@@ -1,4 +1,4 @@
-"""Solve results must not depend on PYTHONHASHSEED.
+"""Solve and propagation results must not depend on PYTHONHASHSEED.
 
 Sets and dicts of configurations iterate in an order that changes with the
 hash seed, so each seed runs in its own interpreter.  The digest sorts every
@@ -13,9 +13,18 @@ import random
 import subprocess
 import sys
 
-from valnet import Network, conditional, decision, make_config, make_utility, random_var, solve
+from valnet import (
+    Network,
+    conditional,
+    decision,
+    make_config,
+    make_utility,
+    propagate_marginal,
+    random_var,
+    solve,
+)
 
-from netgen import random_network
+from netgen import random_network, random_propagation
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -46,8 +55,9 @@ def tied_network():
     return Network([d, x], [u], [p], [("D", "X")])
 
 
-def solve_digest(count=50, lams=(0.0, 0.3, 1.0)):
-    """Digest of ``solve(..., trace=True)`` on the first acceptance-suite networks."""
+def results_digest(count=50, lams=(0.0, 0.3, 1.0)):
+    """Digest of ``solve(..., trace=True)`` on the first acceptance-suite networks
+    and of ``propagate_marginal`` to every variable of belief-only networks."""
     rng = random.Random(20260823)
     digest = hashlib.sha256()
     for net in [random_network(rng) for _ in range(count)] + [tied_network()]:
@@ -59,6 +69,12 @@ def solve_digest(count=50, lams=(0.0, 0.3, 1.0)):
             ]
             record = (r.expected_value, r.solutions, r.strategy.tables, steps)
             digest.update(repr(canonical(record)).encode())
+    rng = random.Random(20261018)
+    for net in [random_propagation(rng) for _ in range(count)]:
+        for v in net.variables:
+            marginal = propagate_marginal(net, v.name)
+            record = [(f.support.members, f.mass) for f in marginal.focals]
+            digest.update(repr(canonical(record)).encode())
     return digest.hexdigest()
 
 
@@ -67,10 +83,10 @@ def test_solve_digest_is_independent_of_the_hash_seed():
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
         proc = subprocess.run(
-            [sys.executable, "-c", "import test_determinism as t; print(t.solve_digest())"],
+            [sys.executable, "-c", "import test_determinism as t; print(t.results_digest())"],
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
-    assert digests[0] == solve_digest()
+    assert digests[0] == results_digest()
