@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
 from .model import DIAMOND, RANDOM, ConfigSet, Variable, concat_configs, make_config, project_config
-from .valuation import BELIEF, GENERAL, UTILITY, Valuation, canonical_focals, support_key
+from .valuation import BELIEF, GENERAL, UTILITY, Valuation, canonical_focals
 
 CONFLICT_TOL = 1e-12
 
@@ -117,6 +117,9 @@ def combine_all_traced(valuations):
     combination of belief focals is built once: the empty ones make up the
     conflict, by which the belief part is renormalized, and the non-belief
     focals are joined with the others.  Non-beliefs are combined before beliefs.
+    Each distinct joint support becomes one ``ConfigSet``; a belief-only pool
+    sums one mass list per joint support, since every member carries the same
+    masses, and a pool with non-beliefs sums one value list per configuration.
 
     Returns (valuation, provenance) where provenance is a list parallel to the
     result focals; each entry lists tuples of focal indices, one per input
@@ -147,32 +150,44 @@ def combine_all_traced(valuations):
     if beliefs and norm <= CONFLICT_TOL:
         raise TotalConflictError("belief functions are in total conflict")
 
-    belief_union = frozenset().union(*domains[n_others:])
-    joints = _joint_supports(parts[:n_others] + [belief_joints], domains[:n_others] + [belief_union])
+    joints = belief_joints
+    if others:
+        belief_union = frozenset().union(*domains[n_others:])
+        joints = _joint_supports(
+            parts[:n_others] + [belief_joints], domains[:n_others] + [belief_union]
+        )
     projectors = [_projector(sorted(union), v.domain) for v in others]
     accum, provenance = {}, {}
     for combo, members in joints.items():
         focals = [v.focals[i] for v, i in zip(inputs, combo)]
-        adds = [(project, f.values) for project, f in zip(projectors, focals)]
         mass = math.prod(f.mass for f in focals[n_others:]) / norm
-        joint = ConfigSet(union, frozenset(members))
-        key = joint.members
-        sums = accum.setdefault(key, (joint, {}))[1]
-        for z in joint:
-            total = 0.0
-            for project, vals in adds:
-                total += vals[project(z)]
-            # Without beliefs mass is 1.0, and total * 1.0 is total.
-            sums.setdefault(z, []).append(total * mass if others else mass)
+        key = frozenset(members)
+        if key not in accum:
+            joint = ConfigSet(union, key)
+            accum[key] = (joint, {z: [] for z in joint} if others else [])
+        joint, sums = accum[key]
+        if others:
+            adds = [(project, f.values) for project, f in zip(projectors, focals)]
+            for z in joint:
+                total = 0.0
+                for project, vals in adds:
+                    total += vals[project(z)]
+                # Without beliefs mass is 1.0, and total * 1.0 is total.
+                sums[z].append(total * mass)
+        else:
+            sums.append(mass)
         provenance.setdefault(key, []).append(tuple(i for _, i in sorted(zip(order, combo))))
 
     if not accum:
         raise TotalConflictError("no joint focal has a nonempty support")
 
-    items = [
-        (joint, _finite({z: _fsum(vals) for z, vals in values.items()}, "combined value"))
-        for joint, values in accum.values()
-    ]
+    items = []
+    for joint, sums in accum.values():
+        if others:
+            values = {z: _fsum(vals) for z, vals in sums.items()}
+        else:
+            values = dict.fromkeys(joint, _fsum(sums))
+        items.append((joint, _finite(values, "combined value")))
     focals = canonical_focals(items, GENERAL if others else BELIEF)
     kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
     prov = [provenance[f.support.members] for f in focals]
@@ -230,7 +245,8 @@ def marginalize(v, variable, lam=None, policy=None):
         lam = check_lambda(lam)
     frames = {n: f for n, f in v.frames.items() if n in rest}
 
-    # Split each focal by projection, then group focals by projected support.
+    # Split each focal by projection, then group focals by projected support;
+    # the first focal's set is the group's key and its support's members.
     project = _projector(sorted(v.domain), rest)
     groups = {}
     for idx, f in enumerate(v.focals):
@@ -238,15 +254,14 @@ def marginalize(v, variable, lam=None, policy=None):
         for y in f.support:
             slices.setdefault(project(y), {})[y] = f.values[y]
         # keys(): frozenset(dict) presizes, so the set would iterate in another order.
-        proj = ConfigSet(rest, frozenset(slices.keys()))
-        groups.setdefault(support_key(proj), (proj, []))[1].append((idx, f, slices))
+        groups.setdefault(frozenset(slices.keys()), []).append((idx, f, slices))
 
     scores = {}
     focal_prefs = {}
     items = []
     contributions = {}
-    for key in sorted(groups):
-        proj, members = groups[key]
+    for key in sorted(groups, key=sorted):
+        proj, members = ConfigSet(rest, key), groups[key]
         values = {}
         contribs = {}
         for x in proj:
@@ -282,7 +297,7 @@ def marginalize(v, variable, lam=None, policy=None):
         choices = {x: _best_act(acts, variable.frame) for x, acts in scores.items()}
         conflicts = frozenset(x for x, prefs in focal_prefs.items() if len(prefs) > 1)
         table = SolutionTable(name, tuple(sorted(rest)), choices, conflicts)
-    return result, table, [contributions[support_key(f.support)] for f in focals]
+    return result, table, [contributions[f.support.members] for f in focals]
 
 
 def _best_act(acts, frame):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from .errors import ProblemFormatError, ValnetError
+from .errors import ProblemFormatError, SolverError, ValnetError
 from .model import DIAMOND, project_config
 from .network import validate
 from .problemfile import parse_problem
@@ -27,7 +28,9 @@ def _lambda_arg(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="valnet",
         description="Solve decision problems under belief-function uncertainty.",
@@ -68,6 +71,9 @@ def main(argv=None):
     except ProblemFormatError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
+    except SolverError as exc:
+        print("solver error: %s" % exc, file=sys.stderr)
+        return EXIT_SOLVER
 
     if args.command == "check":
         return cmd_check(problem)

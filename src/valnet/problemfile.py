@@ -26,6 +26,15 @@ from .valuation import MASS_TOL, conditional, make_utility
 _NAME = r"[A-Za-z_]\w*"
 _TOKEN = r"[^\s{},;:=|#]+"
 
+_VARIABLE = re.compile(r"(?:decision|random)\s+(%s)\s*\{(.*)\}\s*" % _NAME)
+_LABEL = re.compile(_TOKEN)
+_PREC = re.compile(r"prec\s+(%s)\s*->\s*(%s)\s*" % (_NAME, _NAME))
+_UTILITY = re.compile(r"utility\s+(%s)\s+on\s*\{([^}|]*)\}\s*\{(.*)\}\s*" % _NAME, re.S)
+_UTILITY_ENTRY = re.compile(r"((?:%s\s+)*%s)\s*=\s*(%s)" % (_TOKEN, _TOKEN, _TOKEN))
+_BPA = re.compile(r"bpa\s+(%s)\s+on\s*\{\s*(%s)\s*(?:\|([^}]*))?\}\s*\{(.*)\}\s*" % (_NAME, _NAME), re.S)
+_BPA_ENTRY = re.compile(r"(?:((?:%s\s+)*%s)\s*:)?\s*\{([^}]*)\}\s*=\s*(%s)" % (_TOKEN, _TOKEN, _TOKEN))
+_LAMBDA = re.compile(r"lambda\s*=\s*(%s)\s*" % _TOKEN)
+
 
 @dataclass
 class ParsedProblem:
@@ -157,12 +166,12 @@ def parse_problem(text):
 
 
 def _parse_variable(b, kind, stmt, lineno):
-    m = re.fullmatch(r"%s\s+(%s)\s*\{(.*)\}\s*" % (kind, _NAME), stmt)
+    m = _VARIABLE.fullmatch(stmt)
     if not m:
         raise ProblemFormatError("malformed %s declaration" % kind, lineno)
     name, frame = m.group(1), _split_list(m.group(2))
     for label in frame:
-        if not re.fullmatch(_TOKEN, label):
+        if not _LABEL.fullmatch(label):
             raise ProblemFormatError(
                 "frame value %r of variable %r is not a single token" % (label, name), lineno
             )
@@ -170,7 +179,7 @@ def _parse_variable(b, kind, stmt, lineno):
 
 
 def _parse_prec(b, stmt, lineno):
-    m = re.fullmatch(r"prec\s+(%s)\s*->\s*(%s)\s*" % (_NAME, _NAME), stmt)
+    m = _PREC.fullmatch(stmt)
     if not m:
         raise ProblemFormatError("malformed prec statement (expected 'prec X -> Y')", lineno)
     x = b.need_var(m.group(1), lineno)
@@ -179,9 +188,7 @@ def _parse_prec(b, stmt, lineno):
 
 
 def _parse_utility(b, stmt, lineno):
-    m = re.fullmatch(
-        r"utility\s+(%s)\s+on\s*\{([^}|]*)\}\s*\{(.*)\}\s*" % _NAME, stmt, re.S
-    )
+    m = _UTILITY.fullmatch(stmt)
     if not m:
         raise ProblemFormatError("malformed utility statement", lineno)
     label, var_body, body = m.groups()
@@ -194,7 +201,7 @@ def _parse_utility(b, stmt, lineno):
         raise ProblemFormatError("utility %r repeats a variable" % label, lineno)
     table = {}
     for entry in _entries(body):
-        m2 = re.fullmatch(r"((?:%s\s+)*%s)\s*=\s*(%s)" % (_TOKEN, _TOKEN, _TOKEN), entry)
+        m2 = _UTILITY_ENTRY.fullmatch(entry)
         if not m2:
             raise ProblemFormatError("malformed utility entry %r" % entry, lineno)
         tokens = m2.group(1).split()
@@ -221,11 +228,7 @@ def _parse_utility(b, stmt, lineno):
 
 
 def _parse_bpa(b, stmt, lineno):
-    m = re.fullmatch(
-        r"bpa\s+(%s)\s+on\s*\{\s*(%s)\s*(?:\|([^}]*))?\}\s*\{(.*)\}\s*" % (_NAME, _NAME),
-        stmt,
-        re.S,
-    )
+    m = _BPA.fullmatch(stmt)
     if not m:
         raise ProblemFormatError("malformed bpa statement", lineno)
     label, head_name, parent_body, body = m.groups()
@@ -240,10 +243,7 @@ def _parse_bpa(b, stmt, lineno):
 
     tables = {}
     for entry in _entries(body):
-        m2 = re.fullmatch(
-            r"(?:((?:%s\s+)*%s)\s*:)?\s*\{([^}]*)\}\s*=\s*(%s)" % (_TOKEN, _TOKEN, _TOKEN),
-            entry,
-        )
+        m2 = _BPA_ENTRY.fullmatch(entry)
         if not m2:
             raise ProblemFormatError("malformed bpa entry %r" % entry, lineno)
         ptokens = (m2.group(1) or "").split()
@@ -285,7 +285,7 @@ def _parse_bpa(b, stmt, lineno):
 
 
 def _parse_lambda(b, stmt, lineno):
-    m = re.fullmatch(r"lambda\s*=\s*(%s)\s*" % _TOKEN, stmt)
+    m = _LAMBDA.fullmatch(stmt)
     if not m:
         raise ProblemFormatError("malformed lambda statement", lineno)
     if b.lam_seen:

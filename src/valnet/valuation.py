@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatchError, KindError, MassError, NetworkError, UtilityError
+from .errors import DomainMismatchError, KindError, MassError, NetworkError, SolverError, UtilityError
 from .model import ConfigSet, Variable, all_configs, concat_configs, make_config
 
 BELIEF = "belief"
@@ -22,6 +22,9 @@ GENERAL = "general"
 # Absolute tolerance on bpa mass sums; relative tolerance for value comparisons.
 MASS_TOL = 1e-9
 VALUE_RTOL = 1e-6
+# Most focal combinations ``balloon`` enumerates (one focal per parent
+# configuration); 3 focals on each of 9 parent configurations give 19,683.
+BALLOON_LIMIT = 10_000
 
 
 def support_key(support):
@@ -191,7 +194,8 @@ def balloon(head, parents, tables, label=""):
     ``tables`` maps each parent configuration to a sequence of
     (head-value subset, mass) pairs.  Each joint focal picks one focal per
     parent configuration; its support is the union of the picked slices and
-    its mass the product of the picked masses.
+    its mass the product of the picked masses.  More than ``BALLOON_LIMIT``
+    such picks raise ``SolverError`` before any is made.
     """
     parents = list(parents)
     parent_names = frozenset(p.name for p in parents)
@@ -217,17 +221,26 @@ def balloon(head, parents, tables, label=""):
                 )
         _check_bpa_masses(entries, " in table for parent %r" % (cfg,))
 
-    domain = parent_names | {head.name}
-    items = []
     per_parent = [normalized[c] for c in parent_configs]
+    combinations = math.prod(len(entries) for entries in per_parent)
+    if combinations > BALLOON_LIMIT:
+        raise SolverError(
+            "ballooning %r would enumerate %d focal combinations, more than the limit of %d"
+            % (head.name, combinations, BALLOON_LIMIT)
+        )
+    domain = parent_names | {head.name}
+    cells = [
+        {r: concat_configs(cfg, make_config({head.name: r})) for r in head.frame}
+        for cfg in parent_configs
+    ]
+    items = []
     for choice in itertools.product(*per_parent):
         mass = math.prod(m for _, m in choice)
         if mass <= 0:
             continue
         members = set()
-        for cfg, (subset, _) in zip(parent_configs, choice):
-            for r in subset:
-                members.add(concat_configs(cfg, make_config({head.name: r})))
+        for cell, (subset, _) in zip(cells, choice):
+            members.update(cell[r] for r in subset)
         support = ConfigSet(domain, frozenset(members))
         items.append((support, {x: mass for x in support}))
     focals = canonical_focals(items, BELIEF)

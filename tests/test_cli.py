@@ -1,10 +1,15 @@
+import argparse
+import itertools
+import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
-from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
+from valnet import valuation
+from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, build_parser, main
 
 from conftest import ROOT, WILDCATTER_PATH
 
@@ -226,3 +231,83 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def fresh(*argv):
+    """The same command in a new interpreter, with a parser of its own."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "valnet.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def readme_solve_lines():
+    text = (ROOT / "README.md").read_text()
+    return text.split("$ valnet solve problems/wildcatter.vn\n", 1)[1].split("```", 1)[0]
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "valnet":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    path = str(WILDCATTER_PATH)
+    commands = [
+        ["solve", "--machine", "--lambda", "0.3", path],
+        ["solve", path],
+        ["marginal", path],
+        ["check", path],
+    ]
+    results = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert len(built) == 1
+    assert results[1] == (EXIT_OK, readme_solve_lines(), "")
+    assert results[2][0] == EXIT_PARSE and "--target" in results[2][2]
+    for argv, result in zip(commands, results):
+        assert result == fresh(*argv)
+
+
+def too_many_combinations():
+    """A bpa on a head with two 4-valued parents: 2 focals on 16 configurations."""
+    lines = [
+        "random P { p1, p2, p3, p4 }",
+        "random Q { q1, q2, q3, q4 }",
+        "random R { r1, r2 }",
+        "bpa bp on {P} { {p1, p2, p3, p4} = 1 }",
+        "bpa bq on {Q} { {q1, q2, q3, q4} = 1 }",
+        "bpa br on {R | P, Q} {",
+    ]
+    for p in range(1, 5):
+        for q in range(1, 5):
+            lines.append("  p%d q%d : {r1} = 0.5; p%d q%d : {r1, r2} = 0.5;" % (p, q, p, q))
+    return "\n".join(lines + ["}", "lambda = 0.5", ""])
+
+
+@pytest.mark.parametrize("command", [["check"], ["solve"], ["marginal", "--target", "R"]])
+def test_ballooning_past_the_limit_is_a_solver_error(capsys, tmp_path, monkeypatch, command):
+    def product(*pools):
+        # Enumerating the 65536 combinations would take seconds; fail instead.
+        assert math.prod(map(len, pools)) <= valuation.BALLOON_LIMIT
+        return itertools.product(*pools)
+
+    monkeypatch.setattr(valuation, "itertools", types.SimpleNamespace(product=product))
+    code, out, err = run(capsys, *command, write(tmp_path, too_many_combinations()))
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert err == (
+        "solver error: ballooning 'R' would enumerate 65536 focal combinations, "
+        "more than the limit of %d\n" % valuation.BALLOON_LIMIT
+    )

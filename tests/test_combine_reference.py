@@ -5,7 +5,8 @@ support to the union domain by the cylinder extension and keeps the
 configurations whose projection lies in every other support.  It runs the
 conflict search and the main search separately, as the definition reads.
 ``combine_all_traced`` must agree with it on the domain, kind, supports,
-values (to the bit) and provenance, and raise the same error where it raises.
+values (to the bit and in the order of their support) and provenance, and
+raise the same error where it raises.
 """
 
 import itertools
@@ -128,7 +129,9 @@ def outcome(combine, valuations):
         (support_key(f.support), sorted((z, val.hex()) for z, val in f.values.items()))
         for f in v.focals
     ]
-    return sorted(v.domain), v.frames, v.kind, focals, provenance
+    # Values are keyed in the order their support iterates, as the reference keys them.
+    keyed_in_order = [list(f.values) == list(f.support) for f in v.focals]
+    return sorted(v.domain), v.frames, v.kind, focals, provenance, keyed_in_order
 
 
 def check(valuations):
@@ -260,3 +263,25 @@ def test_mixed_pool_whose_supports_never_meet_the_belief_joints():
     assert check([g, b]) == (TotalConflictError, "no joint focal has a nonempty support")
     g2 = general([Y, Z], [[({"Y": "q", "Z": "s"}, 2.0)], [({"Y": "p", "Z": "t"}, -1.0)]])
     check([g, g2, b])
+
+
+def test_combinations_that_meet_on_one_joint_support():
+    # Three combinations land on {a, b}; their masses add to a different
+    # float in each order, so only the reference's sorted fsum matches.
+    ab, abc = [{"X": "a"}, {"X": "b"}], [{"X": x} for x in X.frame]
+    b1 = bpa([X], [(ab, 0.25), (abc, 0.15), ([{"X": "c"}], 0.6)])
+    b2 = bpa([X], [(ab, 0.4), (abc, 0.6)])
+    norm = 1.0 - 0.6 * 0.4
+    masses = [0.25 * 0.4 / norm, 0.25 * 0.6 / norm, 0.15 * 0.4 / norm]
+    sums = {sum(masses), sum(reversed(masses)), math.fsum(masses)}
+    assert len(sums) == 3
+
+    xy = [{"X": x, "Y": y} for x in X.frame for y in Y.frame]
+    b3 = bpa([X, Y], [(xy, 0.35), ([d for d in xy if d["Y"] == "p"], 0.45), (xy[:4], 0.2)])
+    pools = [[b1, b2], [b2, b1], [b1, b2, b3], [b3, b1, b2], [b1, b1, b2]]
+    for pool in pools:
+        assert any(len(sources) > 1 for sources in check(pool)[4])
+    merged = combine_all_traced([b1, b2])[0].focals
+    assert [v.hex() for f in merged for v in f.values.values() if len(f.support) == 2] == [
+        math.fsum(masses).hex()
+    ] * 2

@@ -8,6 +8,7 @@ from valnet import (
     DomainMismatchError,
     KindError,
     MassError,
+    SolverError,
     UtilityError,
     balloon,
     belief_of,
@@ -21,6 +22,7 @@ from valnet import (
     random_var,
     vacuous,
 )
+from valnet import valuation
 from valnet.calculus import marginalize_belief
 from valnet.valuation import is_vacuous
 
@@ -254,6 +256,17 @@ class TestBalloon:
         for build in (balloon, conditional):
             with pytest.raises(DomainMismatchError, match="does not match parents"):
                 build(O, [T], tables)
+
+    def test_combination_limit(self, monkeypatch):
+        # RESULT_TABLES picks 3 x 1 focals, OIL_TABLES 1 x 1 x 1 x 3.
+        monkeypatch.setattr(valuation, "BALLOON_LIMIT", 3)
+        assert len(balloon(R, [T], RESULT_TABLES).focals) == 3
+        assert len(conditional(O, [R], OIL_TABLES).ballooned.focals) == 3
+        tables = dict(RESULT_TABLES)
+        tables[make_config({"T": "~t"})] = [({"nr"}, 0.5), ({"re", "nr"}, 0.5)]
+        with pytest.raises(SolverError, match="'R' would enumerate 6 focal combinations, "
+                           "more than the limit of 3"):
+            balloon(R, [T], tables)
 
     def test_ballooned_projection_onto_head(self):
         v = balloon(R, [T], RESULT_TABLES)
