@@ -27,7 +27,6 @@ from .errors import (
 )
 from .model import (
     DIAMOND,
-    ConfigSet,
     Variable,
     all_configs,
     concat_configs,

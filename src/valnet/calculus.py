@@ -17,10 +17,12 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
-from .model import DIAMOND, RANDOM, ConfigSet, Variable, concat_configs, make_config, project_config
+from .model import DIAMOND, RANDOM, Variable, concat_configs, make_config, project_config
 from .valuation import BELIEF, GENERAL, UTILITY, Valuation, canonical_focals
 
 CONFLICT_TOL = 1e-12
+# Most combinations of one focal per input that ``combine_all_traced`` joins.
+COMBINE_LIMIT = 10 ** 6
 
 
 def check_lambda(lam):
@@ -117,9 +119,11 @@ def combine_all_traced(valuations):
     combination of belief focals is built once: the empty ones make up the
     conflict, by which the belief part is renormalized, and the non-belief
     focals are joined with the others.  Non-beliefs are combined before beliefs.
-    Each distinct joint support becomes one ``ConfigSet``; a belief-only pool
-    sums one mass list per joint support, since every member carries the same
-    masses, and a pool with non-beliefs sums one value list per configuration.
+    Each distinct joint support is one frozenset; a belief-only pool sums one
+    mass list per joint support, since every member carries the same masses,
+    and a pool with non-beliefs sums one value list per configuration.  More
+    than ``COMBINE_LIMIT`` focal combinations raise ``SolverError`` before any
+    join.
 
     Returns (valuation, provenance) where provenance is a list parallel to the
     result focals; each entry lists tuples of focal indices, one per input
@@ -135,8 +139,14 @@ def combine_all_traced(valuations):
     others, beliefs = inputs[:n_others], inputs[n_others:]
     union = frozenset().union(*(v.domain for v in inputs))
     frames = _merge_frames(inputs)
+    combinations = math.prod(len(v.focals) for v in inputs)
+    if combinations > COMBINE_LIMIT:
+        raise SolverError(
+            "combining would join %d focal combinations, more than the limit of %d"
+            % (combinations, COMBINE_LIMIT)
+        )
 
-    parts = [{(i,): f.support.members for i, f in enumerate(v.focals)} for v in inputs]
+    parts = [{(i,): f.support for i, f in enumerate(v.focals)} for v in inputs]
     domains = [v.domain for v in inputs]
     belief_joints = _joint_supports(parts[n_others:], domains[n_others:])
     clashes = [
@@ -161,14 +171,13 @@ def combine_all_traced(valuations):
     for combo, members in joints.items():
         focals = [v.focals[i] for v, i in zip(inputs, combo)]
         mass = math.prod(f.mass for f in focals[n_others:]) / norm
-        key = frozenset(members)
-        if key not in accum:
-            joint = ConfigSet(union, key)
-            accum[key] = (joint, {z: [] for z in joint} if others else [])
-        joint, sums = accum[key]
+        joint = frozenset(members)
+        if joint not in accum:
+            accum[joint] = {z: [] for z in joint} if others else []
+        sums = accum[joint]
         if others:
             adds = [(project, f.values) for project, f in zip(projectors, focals)]
-            for z in joint:
+            for z in sums:
                 total = 0.0
                 for project, vals in adds:
                     total += vals[project(z)]
@@ -176,13 +185,13 @@ def combine_all_traced(valuations):
                 sums[z].append(total * mass)
         else:
             sums.append(mass)
-        provenance.setdefault(key, []).append(tuple(i for _, i in sorted(zip(order, combo))))
+        provenance.setdefault(joint, []).append(tuple(i for _, i in sorted(zip(order, combo))))
 
     if not accum:
         raise TotalConflictError("no joint focal has a nonempty support")
 
     items = []
-    for joint, sums in accum.values():
+    for joint, sums in accum.items():
         if others:
             values = {z: _fsum(vals) for z, vals in sums.items()}
         else:
@@ -190,7 +199,7 @@ def combine_all_traced(valuations):
         items.append((joint, _finite(values, "combined value")))
     focals = canonical_focals(items, GENERAL if others else BELIEF)
     kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
-    prov = [provenance[f.support.members] for f in focals]
+    prov = [provenance[f.support] for f in focals]
     return Valuation(union, frames, kind, focals), prov
 
 
@@ -246,7 +255,8 @@ def marginalize(v, variable, lam=None, policy=None):
     frames = {n: f for n, f in v.frames.items() if n in rest}
 
     # Split each focal by projection, then group focals by projected support;
-    # the first focal's set is the group's key and its support's members.
+    # the first focal's set is the group's key and its support.  A belief
+    # focal's mass is read once here.
     project = _projector(sorted(v.domain), rest)
     groups = {}
     for idx, f in enumerate(v.focals):
@@ -254,22 +264,22 @@ def marginalize(v, variable, lam=None, policy=None):
         for y in f.support:
             slices.setdefault(project(y), {})[y] = f.values[y]
         # keys(): frozenset(dict) presizes, so the set would iterate in another order.
-        groups.setdefault(frozenset(slices.keys()), []).append((idx, f, slices))
+        mass = f.mass if belief else None
+        groups.setdefault(frozenset(slices.keys()), []).append((idx, mass, slices))
 
     scores = {}
     focal_prefs = {}
     items = []
     contributions = {}
-    for key in sorted(groups, key=sorted):
-        proj, members = ConfigSet(rest, key), groups[key]
+    for support in sorted(groups, key=sorted):
         values = {}
         contribs = {}
-        for x in proj:
+        for x in support:
             total = 0.0
-            for idx, f, slices in members:
+            for idx, mass, slices in groups[support]:
                 ext = slices[x]
                 if belief:
-                    contrib = f.mass
+                    contrib = mass
                 elif is_dec and policy is not None:
                     contrib = _policy_value(ext, x, name, policy)
                 elif is_dec:
@@ -285,8 +295,8 @@ def marginalize(v, variable, lam=None, policy=None):
                 contribs[(idx, x)] = contrib
                 total += contrib
             values[x] = total
-        items.append((proj, _finite(values, "marginal value")))
-        contributions[key] = contribs
+        items.append((support, _finite(values, "marginal value")))
+        contributions[support] = contribs
 
     focals = canonical_focals(items, BELIEF if belief else GENERAL)
     kind = BELIEF if belief else _nonbelief_kind(rest, frames, focals)
@@ -297,7 +307,7 @@ def marginalize(v, variable, lam=None, policy=None):
         choices = {x: _best_act(acts, variable.frame) for x, acts in scores.items()}
         conflicts = frozenset(x for x, prefs in focal_prefs.items() if len(prefs) > 1)
         table = SolutionTable(name, tuple(sorted(rest)), choices, conflicts)
-    return result, table, [contributions[f.support.members] for f in focals]
+    return result, table, [contributions[f.support] for f in focals]
 
 
 def _best_act(acts, frame):

@@ -306,12 +306,12 @@ def cmd_marginal(problem, args):
     if args.machine:
         print("# record\tmass\tfocal")
         for f in marginal.focals:
-            members = "|".join(_fmt_config(x, decl) for x in f.support.sorted_members())
+            members = "|".join(_fmt_config(x, decl) for x in sorted(f.support))
             print("focal\t%r\t%s" % (f.mass, members))
     else:
         print("marginal bpa for %s" % args.target)
         for f in marginal.focals:
-            members = ", ".join(_fmt_config(x, decl) for x in f.support.sorted_members())
+            members = ", ".join(_fmt_config(x, decl) for x in sorted(f.support))
             print("%s  {%s}" % (_fmt(f.mass), members))
     return EXIT_OK
 

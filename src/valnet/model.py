@@ -1,9 +1,11 @@
-"""Variables, frames, configurations and the projection/extension algebra.
+"""Variables, frames, configurations and their projection and concatenation.
 
 A configuration is represented as a tuple of (variable, value) pairs sorted
 by variable name, which makes equality and hashing canonical regardless of
 how the configuration was assembled.  The unique configuration of the empty
-variable set is the empty tuple, DIAMOND.
+variable set is the empty tuple, DIAMOND.  A set of configurations (a focal's
+support) is a plain frozenset of them; its domain is the valuation's, checked
+where a set enters the program (``make_bpa``, ``belief_of``).
 """
 
 from __future__ import annotations
@@ -58,21 +60,17 @@ def make_config(values):
     return tuple(sorted(values.items()))
 
 
-def config_domain(x):
-    return frozenset(name for name, _ in x)
-
-
 def project_config(x, h):
     """Drop the coordinates of x outside h.  Requires h to be a subset of x's domain."""
     h = frozenset(h)
-    if not h <= config_domain(x):
+    if not h <= {name for name, _ in x}:
         raise DomainMismatchError("cannot project %r to %r" % (x, sorted(h)))
     return tuple(pair for pair in x if pair[0] in h)
 
 
 def concat_configs(x, y):
     """Join two configurations over disjoint domains into one."""
-    if config_domain(x) & config_domain(y):
+    if {name for name, _ in x} & {name for name, _ in y}:
         raise DomainMismatchError("domains overlap: %r and %r" % (x, y))
     return tuple(sorted(x + y))
 
@@ -86,58 +84,3 @@ def all_configs(names, frames):
         tuple(zip(names, combo))
         for combo in itertools.product(*(frames[n] for n in names))
     ]
-
-
-@dataclass(frozen=True)
-class ConfigSet:
-    """A nonempty set of configurations sharing one domain (a focal element)."""
-
-    domain: frozenset
-    members: frozenset
-
-    def __post_init__(self):
-        if not self.members:
-            raise DomainMismatchError("a configuration set must be nonempty")
-        for x in self.members:
-            if config_domain(x) != self.domain:
-                raise DomainMismatchError(
-                    "configuration %r is not over domain %r" % (x, sorted(self.domain))
-                )
-
-    @classmethod
-    def of(cls, configs):
-        configs = frozenset(configs)
-        return cls(config_domain(next(iter(configs), DIAMOND)), configs)
-
-    def project(self, h):
-        """Set image of configuration projection; duplicates collapse."""
-        h = frozenset(h)
-        if not h <= self.domain:
-            raise DomainMismatchError(
-                "cannot project set over %r to %r" % (sorted(self.domain), sorted(h))
-            )
-        return ConfigSet(h, frozenset(project_config(x, h) for x in self.members))
-
-    def extend(self, g, frames):
-        """Cylinder set extension: members crossed with the frames of g - domain."""
-        g = frozenset(g)
-        if not self.domain <= g:
-            raise DomainMismatchError(
-                "cannot extend set over %r to %r" % (sorted(self.domain), sorted(g))
-            )
-        extra = all_configs(g - self.domain, frames)
-        return ConfigSet(
-            g, frozenset(concat_configs(x, y) for x in self.members for y in extra)
-        )
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
-
-    def sorted_members(self):
-        return sorted(self.members)

@@ -1,9 +1,10 @@
 """Valuations as sets of extended focal elements.
 
-A valuation attaches to each focal element (a configuration set) a real value
-per configuration.  Belief functions carry one constant mass per focal,
-utility valuations consist of a single focal covering the whole frame, and
-anything else produced by the calculus is labelled "general".
+A valuation attaches to each focal element (a frozenset of configurations
+over the valuation's domain) a real value per configuration.  Belief
+functions carry one constant mass per focal, utility valuations consist of a
+single focal covering the whole frame, and anything else produced by the
+calculus is labelled "general".
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatchError, KindError, MassError, NetworkError, SolverError, UtilityError
-from .model import ConfigSet, Variable, all_configs, concat_configs, make_config
+from .model import Variable, all_configs, concat_configs, make_config
 
 BELIEF = "belief"
 UTILITY = "utility"
@@ -27,20 +28,15 @@ VALUE_RTOL = 1e-6
 BALLOON_LIMIT = 10_000
 
 
-def support_key(support):
-    """Deterministic sort key for a focal's configuration set."""
-    return tuple(sorted(support.members))
-
-
 @dataclass(frozen=True)
 class Focal:
     """An extended focal element: a support set and one value per member."""
 
-    support: ConfigSet
+    support: frozenset
     values: dict
 
     def __post_init__(self):
-        if set(self.values) != set(self.support.members):
+        if self.values.keys() != self.support:
             raise DomainMismatchError("focal values must cover exactly the support")
 
     @property
@@ -72,20 +68,20 @@ def frames_of(variables):
 def canonical_focals(items, kind):
     """Merge focals with equal supports by pointwise summation and sort them.
 
-    Belief-kind zero-mass focals are dropped.
+    A merged focal keeps the first item's support.  Belief-kind zero-mass
+    focals are dropped.
     """
     merged = {}
     for support, values in items:
-        key = support_key(support)
-        if key in merged:
-            old = merged[key][1]
+        if support in merged:
+            old = merged[support]
             for x, v in values.items():
                 old[x] = old.get(x, 0.0) + v
         else:
-            merged[key] = (support, dict(values))
+            merged[support] = dict(values)
     focals = []
-    for key in sorted(merged):
-        support, values = merged[key]
+    for support in sorted(merged, key=sorted):
+        values = merged[support]
         if kind == BELIEF and all(v == 0 for v in values.values()):
             continue
         focals.append(Focal(support, values))
@@ -104,8 +100,21 @@ def _check_bpa_masses(assignments, where=""):
         raise MassError("masses sum to %r, expected 1%s" % (total, where))
 
 
+def _support_over(configs, domain):
+    """The configurations as a frozenset, checked to be nonempty and over ``domain``."""
+    support = frozenset(configs)
+    if not support:
+        raise DomainMismatchError("a configuration set must be nonempty")
+    for x in support:
+        if {name for name, _ in x} != domain:
+            raise DomainMismatchError(
+                "configuration %r is not over domain %r" % (x, sorted(domain))
+            )
+    return support
+
+
 def make_bpa(variables, assignments, label=""):
-    """Build a belief valuation from (configuration set, mass) pairs.
+    """Build a belief valuation from (iterable of configurations, mass) pairs.
 
     Duplicate supports are merged by summing their masses; zero-mass entries
     are dropped.  Masses must be nonnegative and sum to one.
@@ -115,13 +124,7 @@ def make_bpa(variables, assignments, label=""):
     if not domain:
         raise NetworkError("a bpa needs at least one variable")
     frames = frames_of(variables)
-    assignments = list(assignments)
-    for support, _ in assignments:
-        if support.domain != domain:
-            raise DomainMismatchError(
-                "focal over %r does not match bpa domain %r"
-                % (sorted(support.domain), sorted(domain))
-            )
+    assignments = [(_support_over(configs, domain), mass) for configs, mass in assignments]
     _check_bpa_masses(assignments)
     items = [
         (support, {x: float(mass) for x in support})
@@ -154,8 +157,7 @@ def make_utility(variables, table, label=""):
     bad = sorted(x for x, v in values.items() if not math.isfinite(v))
     if bad:
         raise UtilityError("utility values are not finite at %r" % (bad,))
-    support = ConfigSet(domain, frozenset(expected))
-    return Valuation(domain, frames, UTILITY, (Focal(support, values),), label)
+    return Valuation(domain, frames, UTILITY, (Focal(frozenset(expected), values),), label)
 
 
 def vacuous(variables, label=""):
@@ -165,17 +167,16 @@ def vacuous(variables, label=""):
         raise NetworkError("the vacuous belief function needs a nonempty domain")
     domain = frozenset(v.name for v in variables)
     frames = frames_of(variables)
-    support = ConfigSet(domain, frozenset(all_configs(domain, frames)))
+    support = frozenset(all_configs(domain, frames))
     return Valuation(domain, frames, BELIEF, (Focal(support, {x: 1.0 for x in support}),), label)
 
 
 def belief_of(v, a):
-    """Bel(a): total mass of the focals contained in the configuration set a."""
+    """Bel(a): total mass of the focals contained in the configurations a."""
     if v.kind != BELIEF:
         raise KindError("belief_of needs a belief valuation, got %r" % v.kind)
-    if a.domain != v.domain:
-        raise DomainMismatchError("query set is over the wrong domain")
-    return sum(f.mass for f in v.focals if f.support.members <= a.members)
+    a = _support_over(a, v.domain)
+    return sum(f.mass for f in v.focals if f.support <= a)
 
 
 def is_vacuous(v, tol=MASS_TOL):
@@ -241,7 +242,7 @@ def balloon(head, parents, tables, label=""):
         members = set()
         for cell, (subset, _) in zip(cells, choice):
             members.update(cell[r] for r in subset)
-        support = ConfigSet(domain, frozenset(members))
+        support = frozenset(members)
         items.append((support, {x: mass for x in support}))
     focals = canonical_focals(items, BELIEF)
     return Valuation(domain, frames, BELIEF, focals, label)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from valnet import (
-    ConfigSet,
     SolverError,
     TotalConflictError,
     combine,
@@ -16,6 +15,7 @@ from valnet import (
     random_var,
     vacuous,
 )
+from valnet import calculus
 from valnet.calculus import combine_all_traced, marginalize_belief
 from valnet.valuation import GENERAL, Valuation, canonical_focals, valuations_close
 
@@ -30,13 +30,13 @@ def cfg(**values):
 
 
 def cset(*dicts):
-    return ConfigSet.of([make_config(d) for d in dicts])
+    return frozenset([make_config(d) for d in dicts])
 
 
 def bpa_from_subsets(var, pairs):
     return make_bpa(
         [var],
-        [(ConfigSet.of([make_config({var.name: v}) for v in s]), m) for s, m in pairs],
+        [(frozenset([make_config({var.name: v}) for v in s]), m) for s, m in pairs],
     )
 
 
@@ -172,11 +172,21 @@ class TestMixedCombination:
         big = {cfg(A="a", B="b1"): 1e308, cfg(A="b", B="b1"): 1.0}
         wide = {**big, cfg(A="a", B="b2"): 0.0}
         v = general_valuation(
-            {"A", "B"}, frames, [(ConfigSet.of(list(big)), big), (ConfigSet.of(list(wide)), wide)]
+            {"A", "B"}, frames, [(frozenset(big), big), (frozenset(wide), wide)]
         )
         cut = make_bpa([b], [(cset({"B": "b1"}), 1.0)])
         with pytest.raises(SolverError, match=r"combined value is not finite at \(\('A', 'a'\),"):
             combine_all([v, cut])
+
+    def test_combination_limit(self, monkeypatch):
+        monkeypatch.setattr(calculus, "COMBINE_LIMIT", 4)
+        b1 = bpa_from_subsets(R, [({"re"}, 0.5), ({"re", "ye"}, 0.5)])
+        b2 = bpa_from_subsets(R, [({"re", "ye"}, 0.4), ({"re", "gr"}, 0.6)])
+        u = make_utility([R], {cfg(R=v): 1.0 for v in R.frame})
+        assert len(combine_all([b1, u, b2]).focals) == 2
+        with pytest.raises(SolverError, match="combining would join 8 focal combinations, "
+                           "more than the limit of 4"):
+            combine_all([b1, u, b2, b1])
 
 
 def general_valuation(domain, frames, items):
@@ -225,8 +235,8 @@ class TestMarginalizeDecision:
             {"D", "R"},
             frames,
             [
-                (ConfigSet.of(list(f1)), f1),
-                (ConfigSet.of(list(f2)), f2),
+                (frozenset(f1), f1),
+                (frozenset(f2), f2),
             ],
         )
         out, table, _ = marginalize(v, D)
@@ -324,7 +334,7 @@ class TestMarginalizeRandom:
         f1 = {cfg(A="a1", B="b1"): 1e308, cfg(A="a1", B="b2"): 1e308}
         f2 = {cfg(A="a1", B="b1"): 1e308}
         v = general_valuation(
-            {"A", "B"}, frames, [(ConfigSet.of(list(f1)), f1), (ConfigSet.of(list(f2)), f2)]
+            {"A", "B"}, frames, [(frozenset(f1), f1), (frozenset(f2), f2)]
         )
         with pytest.raises(SolverError, match=r"marginal value is not finite at \(\('A', 'a1'\),\)"):
             marginalize(v, b, lam=0.5)
@@ -372,7 +382,7 @@ class TestMarginalizeBelief:
             v = make_bpa(
                 [a, b],
                 [
-                    (ConfigSet.of([cfg(A=x, B=y) for x, y in s]), m)
+                    (frozenset([cfg(A=x, B=y) for x, y in s]), m)
                     for s, m in pairs
                 ],
             )

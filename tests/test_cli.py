@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from valnet import valuation
+from valnet import calculus, valuation
 from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, build_parser, main
 
 from conftest import ROOT, WILDCATTER_PATH
@@ -311,3 +311,19 @@ def test_ballooning_past_the_limit_is_a_solver_error(capsys, tmp_path, monkeypat
         "solver error: ballooning 'R' would enumerate 65536 focal combinations, "
         "more than the limit of %d\n" % valuation.BALLOON_LIMIT
     )
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    (["solve"], None, "solver error: combining would join 3"),
+    (["sweep", "--lambdas", "0,1"], None, "solver error: combining would join 3"),
+    (["marginal", "--target", "S"], PROPAGATION, "error: combining would join 4"),
+], ids=["solve", "sweep", "marginal"])
+def test_combining_past_the_limit_is_a_solver_error(
+    capsys, tmp_path, monkeypatch, command, text, expected
+):
+    monkeypatch.setattr(calculus, "COMBINE_LIMIT", 2)
+    path = WILDCATTER_PATH if text is None else write(tmp_path, text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert err == expected + " focal combinations, more than the limit of 2\n"

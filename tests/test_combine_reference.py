@@ -16,7 +16,6 @@ import random
 import pytest
 
 from valnet import (
-    ConfigSet,
     TotalConflictError,
     ValnetError,
     elimination_order,
@@ -34,9 +33,9 @@ from valnet.calculus import (
     _nonbelief_kind,
     combine_all_traced,
 )
-from valnet.model import project_config
+from valnet.model import all_configs, concat_configs, project_config
 from valnet.solver import fuse
-from valnet.valuation import BELIEF, GENERAL, Valuation, canonical_focals, support_key
+from valnet.valuation import BELIEF, GENERAL, Valuation, canonical_focals
 
 from netgen import random_network
 
@@ -45,13 +44,18 @@ Y = random_var("Y", ("p", "q"))
 Z = random_var("Z", ("s", "t"))
 
 
+def config_domain(x):
+    return frozenset(name for name, _ in x)
+
+
 def _joint_support(supports, domains, union, frames):
-    members = supports[0].extend(union, frames).members
+    extra = all_configs(union - domains[0], frames)
+    members = frozenset(concat_configs(x, y) for x in supports[0] for y in extra)
     for support, domain in zip(supports[1:], domains[1:]):
-        members = frozenset(z for z in members if project_config(z, domain) in support.members)
+        members = frozenset(z for z in members if project_config(z, domain) in support)
         if not members:
             return None
-    return ConfigSet(union, members)
+    return members
 
 
 def reference_combine(valuations):
@@ -100,23 +104,22 @@ def reference_combine(valuations):
             if beliefs:
                 mass /= norm
             values[z] = total * mass if others and beliefs else (mass if beliefs else total)
-        key = support_key(joint)
-        accum.setdefault(key, (joint, {}))
+        sums = accum.setdefault(joint, {})
         for z, val in values.items():
-            accum[key][1].setdefault(z, []).append(val)
+            sums.setdefault(z, []).append(val)
         source = [0] * len(order)
         for position, i in zip(order, combo):
             source[position] = i
-        provenance.setdefault(key, []).append(tuple(source))
+        provenance.setdefault(joint, []).append(tuple(source))
     if not accum:
         raise TotalConflictError("no joint focal has a nonempty support")
     items = [
         (joint, _finite({z: _fsum(vals) for z, vals in values.items()}, "combined value"))
-        for joint, values in accum.values()
+        for joint, values in accum.items()
     ]
     focals = canonical_focals(items, GENERAL if others else BELIEF)
     kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
-    return Valuation(union, frames, kind, focals), [provenance[support_key(f.support)] for f in focals]
+    return Valuation(union, frames, kind, focals), [provenance[f.support] for f in focals]
 
 
 def outcome(combine, valuations):
@@ -125,8 +128,11 @@ def outcome(combine, valuations):
         v, provenance = combine(valuations)
     except ValnetError as e:
         return type(e), str(e)
+    # Each support is a nonempty set of configurations over the result's domain.
+    assert all(f.support for f in v.focals)
+    assert all(config_domain(z) == v.domain for f in v.focals for z in f.support)
     focals = [
-        (support_key(f.support), sorted((z, val.hex()) for z, val in f.values.items()))
+        (sorted(f.support), sorted((z, val.hex()) for z, val in f.values.items()))
         for f in v.focals
     ]
     # Values are keyed in the order their support iterates, as the reference keys them.
@@ -182,14 +188,14 @@ def test_belief_only_pools_match_reference(networks):
 
 def bpa(variables, pairs):
     """A bpa from (list of {name: value} dicts, mass) pairs."""
-    return make_bpa(variables, [(ConfigSet.of([make_config(d) for d in ds]), m) for ds, m in pairs])
+    return make_bpa(variables, [([make_config(d) for d in ds], m) for ds, m in pairs])
 
 
 def general(variables, entries):
     """A general valuation with one focal per {configuration: value} dict."""
     frames = {v.name: v.frame for v in variables}
     items = [
-        (ConfigSet.of(list(values)), values)
+        (frozenset(values), values)
         for values in ({make_config(d): val for d, val in entry} for entry in entries)
     ]
     domain = frozenset(frames)
@@ -234,12 +240,12 @@ def test_pairwise_meeting_beliefs_with_an_empty_triple_joint():
     s1 = [{"X": "a"}, {"X": "b"}]
     s2 = [{"X": "b", "Y": "p"}, {"X": "c", "Y": "p"}]
     s3 = [{"X": "a", "Y": "p"}, {"X": "c", "Y": "q"}, {"X": "c", "Y": "p"}]
-    sets = [ConfigSet.of([make_config(d) for d in s]) for s in (s1, s2, s3)]
+    sets = [frozenset(make_config(d) for d in s) for s in (s1, s2, s3)]
     frames = {"X": X.frame, "Y": Y.frame}
     union = frozenset("XY")
     for pair in itertools.combinations(sets, 2):
-        assert _joint_support(pair, [s.domain for s in pair], union, frames) is not None
-    assert _joint_support(sets, [s.domain for s in sets], union, frames) is None
+        assert _joint_support(pair, [config_domain(min(s)) for s in pair], union, frames) is not None
+    assert _joint_support(sets, [config_domain(min(s)) for s in sets], union, frames) is None
 
     everywhere = [{"X": x, "Y": y} for x in X.frame for y in Y.frame]
     b1 = bpa([X], [(s1, 0.6), ([{"X": x} for x in X.frame], 0.4)])

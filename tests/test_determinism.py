@@ -73,7 +73,7 @@ def results_digest(count=50, lams=(0.0, 0.3, 1.0)):
     for net in [random_propagation(rng) for _ in range(count)]:
         for v in net.variables:
             marginal = propagate_marginal(net, v.name)
-            record = [(f.support.members, f.mass) for f in marginal.focals]
+            record = [(f.support, f.mass) for f in marginal.focals]
             digest.update(repr(canonical(record)).encode())
     return digest.hexdigest()
 

@@ -66,8 +66,11 @@ def check_step(v, variable, lam=None):
     result, table, contributions = marginalize(v, variable, lam=lam)
     focals, ref_contributions, totals, preferences = reference_step(v, variable, lam)
     assert result.domain == v.domain - {variable.name}
-    assert {f.support.members: f.values for f in result.focals} == focals
-    supports = [f.support.members for f in result.focals]
+    # Each support is a nonempty set of configurations over the result's domain.
+    assert all(f.support for f in result.focals)
+    assert all({n for n, _ in x} == result.domain for f in result.focals for x in f.support)
+    assert {f.support: f.values for f in result.focals} == focals
+    supports = [f.support for f in result.focals]
     assert dict(zip(supports, contributions)) == ref_contributions
     if v.kind == BELIEF:
         assert result.kind == BELIEF

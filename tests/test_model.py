@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from valnet import (
     DIAMOND,
-    ConfigSet,
     DomainMismatchError,
     concat_configs,
     decision,
@@ -12,7 +11,7 @@ from valnet import (
     project_config,
     random_var,
 )
-from valnet.model import all_configs, config_domain
+from valnet.model import all_configs
 
 FRAMES = {
     "T": ("t", "~t"),
@@ -24,6 +23,10 @@ FRAMES = {
 
 def cfg(**values):
     return make_config(values)
+
+
+def config_domain(x):
+    return frozenset(name for name, _ in x)
 
 
 def test_project_drops_coordinates():
@@ -42,30 +45,6 @@ def test_project_rejects_non_subset():
         project_config(cfg(T="t"), {"R"})
 
 
-def test_project_set_collapses_duplicates():
-    a = ConfigSet.of([cfg(R="re", D="d"), cfg(R="re", D="~d")])
-    assert a.project({"R"}).members == frozenset([cfg(R="re")])
-
-
-def test_project_set_identity():
-    a = ConfigSet.of([cfg(R="re", D="d"), cfg(R="ye", D="d")])
-    assert a.project(a.domain) == a
-
-
-def test_extend_is_cartesian_product():
-    a = ConfigSet.of([cfg(R="re")])
-    ext = a.extend({"R", "O"}, FRAMES)
-    assert ext.members == frozenset(
-        [cfg(R="re", O="dr"), cfg(R="re", O="we"), cfg(R="re", O="so")]
-    )
-
-
-def test_extend_identity_and_count():
-    a = ConfigSet.of([cfg(D="d", O="dr")])
-    assert a.extend(a.domain, FRAMES) == a
-    assert len(a.extend({"D", "O", "R"}, FRAMES)) == 4
-
-
 def test_concat_disjoint_union():
     assert concat_configs(cfg(D="d"), cfg(O="dr")) == cfg(D="d", O="dr")
     assert concat_configs(cfg(T="t"), cfg(R="re", O="dr")) == cfg(T="t", R="re", O="dr")
@@ -81,13 +60,6 @@ def test_concat_rejects_overlap():
         concat_configs(cfg(T="t"), cfg(T="~t", R="re"))
 
 
-def test_configset_rejects_empty_and_mixed_domains():
-    with pytest.raises(DomainMismatchError):
-        ConfigSet.of([])
-    with pytest.raises(DomainMismatchError):
-        ConfigSet(frozenset({"T"}), frozenset([cfg(R="re")]))
-
-
 def test_variable_invariants():
     with pytest.raises(Exception):
         decision("D", ())
@@ -100,8 +72,6 @@ def test_variable_invariants():
 configs = st.fixed_dictionaries(
     {}, optional={name: st.sampled_from(frame) for name, frame in FRAMES.items()}
 ).map(make_config)
-
-nonempty_configs = configs.filter(lambda x: len(x) > 0)
 
 
 @st.composite
@@ -124,27 +94,6 @@ def test_projection_composes(pair, data):
     x, h = pair
     k = frozenset(n for n in sorted(h) if data.draw(st.booleans()))
     assert project_config(project_config(x, h), k) == project_config(x, k)
-
-
-@given(st.lists(nonempty_configs, min_size=1, max_size=6))
-def test_extend_then_project_recovers_sets(raw):
-    domain = config_domain(raw[0])
-    members = [project_config(x, domain & config_domain(x)) for x in raw]
-    members = [m for m in members if config_domain(m) == domain]
-    a = ConfigSet.of([raw[0]] + members)
-    g = domain | {"T", "O"}
-    assert a.extend(g, FRAMES).project(domain) == a
-
-
-@given(st.lists(nonempty_configs, min_size=1, max_size=6), st.data())
-def test_project_then_extend_over_approximates(raw, data):
-    same = [x for x in raw if config_domain(x) == config_domain(raw[0])]
-    a = ConfigSet.of(same)
-    h = frozenset(n for n in sorted(a.domain) if data.draw(st.booleans()))
-    if not h:
-        return
-    blown = a.project(h).extend(a.domain, FRAMES)
-    assert a.members <= blown.members
 
 
 @given(configs, configs)

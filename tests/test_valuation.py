@@ -4,7 +4,6 @@ import random
 import pytest
 
 from valnet import (
-    ConfigSet,
     DomainMismatchError,
     KindError,
     MassError,
@@ -19,12 +18,13 @@ from valnet import (
     make_bpa,
     make_config,
     make_utility,
+    project_config,
     random_var,
     vacuous,
 )
 from valnet import valuation
 from valnet.calculus import marginalize_belief
-from valnet.valuation import is_vacuous
+from valnet.valuation import Focal, is_vacuous
 
 from netgen import random_subsets
 
@@ -35,11 +35,11 @@ O = random_var("O", ("dr", "we", "so"))
 
 
 def focal(**values):
-    return ConfigSet.of([make_config(values)])
+    return frozenset([make_config(values)])
 
 
 def focal_set(*dicts):
-    return ConfigSet.of([make_config(d) for d in dicts])
+    return frozenset([make_config(d) for d in dicts])
 
 
 # Bel(Result | Test) and Bel(Oil | Test result) from the wildcatter example.
@@ -55,6 +55,17 @@ OIL_TABLES = {
 }
 
 
+# Sets that are not nonempty sets of configurations over {T}, by name.
+OFF_DOMAIN = {
+    "empty": frozenset(),
+    "narrower": frozenset([make_config({})]),
+    "mixed": focal_set({"T": "t"}, {"R": "re"}),
+    "mixed-wider": focal_set({"T": "t"}, {"T": "t", "R": "re"}),
+    "other": focal(R="re"),
+    "wider": focal(T="t", R="re"),
+}
+
+
 class TestMakeBpa:
     def test_simple_bpa(self):
         b = make_bpa([R], [(focal(R="re"), 0.5), (focal(R="ye"), 0.2), (focal(R="gr"), 0.3)])
@@ -62,7 +73,7 @@ class TestMakeBpa:
         assert sum(f.mass for f in b.focals) == pytest.approx(1.0)
 
     def test_full_frame_mass_one_is_vacuous(self):
-        full = ConfigSet.of([make_config({"R": v}) for v in R.frame])
+        full = frozenset([make_config({"R": v}) for v in R.frame])
         b = make_bpa([R], [(full, 1.0)])
         assert is_vacuous(b)
         assert b == vacuous([R])
@@ -98,11 +109,20 @@ class TestMakeBpa:
         b = make_bpa([T], [(focal(T="t"), 1.0), (focal(T="~t"), 0.0)])
         assert len(b.focals) == 1
 
+    def test_configurations_may_come_as_any_iterable(self):
+        b = make_bpa([T], [([make_config({"T": "t"})], 0.5), (iter(focal(T="~t")), 0.5)])
+        assert b == make_bpa([T], [(focal(T="t"), 0.5), (focal(T="~t"), 0.5)])
+
+    @pytest.mark.parametrize("support", OFF_DOMAIN.values(), ids=OFF_DOMAIN)
+    def test_support_off_the_domain(self, support):
+        with pytest.raises(DomainMismatchError):
+            make_bpa([T], [(support, 0.5), (focal(T="~t"), 0.5)])
+
 
 class TestBeliefOf:
     def test_full_frame_is_one(self):
         b = make_bpa([R], [(focal(R="re"), 0.6), (focal_set({"R": "re"}, {"R": "ye"}), 0.4)])
-        full = ConfigSet.of([make_config({"R": v}) for v in R.frame])
+        full = frozenset([make_config({"R": v}) for v in R.frame])
         assert belief_of(b, full) == pytest.approx(1.0)
 
     def test_certain_singleton(self):
@@ -127,7 +147,7 @@ class TestBeliefOf:
             b = make_bpa(
                 [O],
                 [
-                    (ConfigSet.of([make_config({"O": v}) for v in s]), m)
+                    (frozenset([make_config({"O": v}) for v in s]), m)
                     for s, m in random_subsets(rng, O.frame)
                 ],
             )
@@ -139,6 +159,12 @@ class TestBeliefOf:
         u = make_utility([T], {make_config({"T": "t"}): 1.0, make_config({"T": "~t"}): 0.0})
         with pytest.raises(KindError):
             belief_of(u, focal(T="t"))
+
+    @pytest.mark.parametrize("query", OFF_DOMAIN.values(), ids=OFF_DOMAIN)
+    def test_query_off_the_domain(self, query):
+        b = make_bpa([T], [(focal(T="t"), 1.0)])
+        with pytest.raises(DomainMismatchError):
+            belief_of(b, query)
 
 
 class TestMakeUtility:
@@ -270,8 +296,8 @@ class TestBalloon:
 
     def test_ballooned_projection_onto_head(self):
         v = balloon(R, [T], RESULT_TABLES)
-        proj = v.focals[0].support.project({"T"})
-        assert proj.members == frozenset([make_config({"T": "t"}), make_config({"T": "~t"})])
+        proj = {project_config(x, {"T"}) for x in v.focals[0].support}
+        assert proj == frozenset([make_config({"T": "t"}), make_config({"T": "~t"})])
 
 
 class TestIsConditional:
@@ -293,6 +319,14 @@ class TestIsConditional:
                 make_config({"R": v}): random_subsets(rng, O.frame) for v in R.frame
             }
             assert is_conditional(balloon(O, [R], tables), "O")
+
+
+def test_focal_values_must_cover_exactly_the_support():
+    support = focal_set({"T": "t"}, {"T": "~t"})
+    assert Focal(support, {x: 0.5 for x in support}).mass == 0.5
+    for values in ({make_config({"T": "t"}): 1.0}, {x: 0.5 for x in support | focal(R="re")}):
+        with pytest.raises(DomainMismatchError, match="cover exactly the support"):
+            Focal(support, values)
 
 
 def test_singleton_bpa_round_trips_as_probability():
