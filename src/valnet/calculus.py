@@ -121,7 +121,8 @@ def combine_all_traced(valuations):
     focals are joined with the others.  Non-beliefs are combined before beliefs.
     Each distinct joint support is one frozenset; a belief-only pool sums one
     mass list per joint support, since every member carries the same masses,
-    and a pool with non-beliefs sums one value list per configuration.  More
+    and a pool with non-beliefs sums one value list per configuration.  Each
+    belief focal's mass is read once, into one list per input.  More
     than ``COMBINE_LIMIT`` focal combinations raise ``SolverError`` before any
     join.
 
@@ -149,9 +150,10 @@ def combine_all_traced(valuations):
     parts = [{(i,): f.support for i, f in enumerate(v.focals)} for v in inputs]
     domains = [v.domain for v in inputs]
     belief_joints = _joint_supports(parts[n_others:], domains[n_others:])
+    masses = [[f.mass for f in v.focals] for v in beliefs]
     clashes = [
-        math.prod(v.focals[i].mass for v, i in zip(beliefs, combo))
-        for combo in itertools.product(*(range(len(v.focals)) for v in beliefs))
+        math.prod(m[i] for m, i in zip(masses, combo))
+        for combo in itertools.product(*map(range, map(len, masses)))
         if combo not in belief_joints
     ]
     # fsum keeps the conflict independent of the iteration order, so swapping
@@ -169,14 +171,13 @@ def combine_all_traced(valuations):
     projectors = [_projector(sorted(union), v.domain) for v in others]
     accum, provenance = {}, {}
     for combo, members in joints.items():
-        focals = [v.focals[i] for v, i in zip(inputs, combo)]
-        mass = math.prod(f.mass for f in focals[n_others:]) / norm
+        mass = math.prod(m[i] for m, i in zip(masses, combo[n_others:])) / norm
         joint = frozenset(members)
         if joint not in accum:
             accum[joint] = {z: [] for z in joint} if others else []
         sums = accum[joint]
         if others:
-            adds = [(project, f.values) for project, f in zip(projectors, focals)]
+            adds = [(p, v.focals[i].values) for p, v, i in zip(projectors, others, combo)]
             for z in sums:
                 total = 0.0
                 for project, vals in adds:

@@ -298,9 +298,9 @@ def cmd_marginal(problem, args):
     if _report_invalid(network):
         return EXIT_INVALID
     try:
-        marginal = propagate_marginal(network, args.target)
+        marginal = propagate_marginal(network, args.target, checked=False)
     except ValnetError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("solver error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
     decl = _decl_order(network)
     if args.machine:

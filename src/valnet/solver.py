@@ -304,15 +304,28 @@ def bayesian_check(network, lam, tol=1e-9):
     return solve(network, lam)
 
 
-def propagate_marginal(network, target):
-    """Marginal bpa of one variable in a pure-propagation network."""
+def propagate_marginal(network, target, checked=True):
+    """Marginal bpa of one variable in a pure-propagation network.
+
+    Only the potentials of the target and its ancestors are combined.  Under
+    condition d every other potential marginalizes to the vacuous belief
+    function, so dropping it leaves the marginal unchanged up to float
+    rounding; ``checked`` validates the network first.
+    """
     if network.decisions or network.utilities:
         raise ValnetError("marginal propagation needs a network without decisions or utilities")
+    if checked:
+        _check(network)
     if target not in network.by_name:
         raise NetworkError("unknown variable %r" % target)
-    pool = [p.ballooned for p in network.potentials]
-    if not any(target in v.domain for v in pool):
+    if not any(target in p.domain for p in network.potentials):
         raise NetworkError("no potential mentions %r" % target)
+    ancestral, grown = {target}, True
+    while grown:
+        parents = {q.name for p in network.potentials if p.head.name in ancestral for q in p.parents}
+        grown = not parents <= ancestral
+        ancestral |= parents
+    pool = [p.ballooned for p in network.potentials if p.head.name in ancestral]
     for v in network.variables:
         if v.name == target:
             continue

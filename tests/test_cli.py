@@ -316,7 +316,7 @@ def test_ballooning_past_the_limit_is_a_solver_error(capsys, tmp_path, monkeypat
 @pytest.mark.parametrize("command, text, expected", [
     (["solve"], None, "solver error: combining would join 3"),
     (["sweep", "--lambdas", "0,1"], None, "solver error: combining would join 3"),
-    (["marginal", "--target", "S"], PROPAGATION, "error: combining would join 4"),
+    (["marginal", "--target", "S"], PROPAGATION, "solver error: combining would join 4"),
 ], ids=["solve", "sweep", "marginal"])
 def test_combining_past_the_limit_is_a_solver_error(
     capsys, tmp_path, monkeypatch, command, text, expected

@@ -5,23 +5,28 @@ import pytest
 
 from valnet import (
     DIAMOND,
+    ConditionalPotential,
     Network,
     NotWellDefinedError,
     SolverError,
     ValnetError,
     bayesian_check,
+    conditional,
     decision,
     elimination_order,
     evaluate_strategy,
     expected_interval,
     fuse,
     lambda_sweep,
+    make_bpa,
     make_config,
     make_utility,
     oracle_solve,
     propagate_marginal,
+    random_var,
     solve,
 )
+from valnet import solver
 from valnet.calculus import combine_all, marginalize_belief
 from valnet.valuation import valuations_close
 
@@ -221,13 +226,42 @@ class TestPropagation:
     def test_matches_direct_joint_marginal(self):
         rng = random.Random(139)
         for _ in range(25):
-            net = random_propagation(rng)
-            target = rng.choice([v.name for v in net.variables])
-            via_fusion = propagate_marginal(net, target)
-            joint = combine_all([p.ballooned for p in net.potentials])
-            for name in sorted(joint.domain - {target}):
-                joint = marginalize_belief(joint, name)
-            assert valuations_close(via_fusion, joint, rtol=1e-9)
+            net = random_propagation(rng, max_vars=4)
+            full = combine_all([p.ballooned for p in net.potentials])
+            for target in [v.name for v in net.variables]:
+                joint = full
+                for name in sorted(joint.domain - {target}):
+                    joint = marginalize_belief(joint, name)
+                assert valuations_close(propagate_marginal(net, target), joint, rtol=1e-9)
+
+    def test_root_target_drops_its_descendants(self, monkeypatch):
+        a, b, c = (random_var(n, ("x", "y")) for n in "ABC")
+        root = conditional(a, [], {(): [({"x"}, 0.25), ({"x", "y"}, 0.75)]})
+        links = [
+            conditional(child, [parent], {("x",): [({"x"}, 1.0)], ("y",): [({"y"}, 1.0)]})
+            for parent, child in ((a, b), (b, c))
+        ]
+        net = Network([a, b, c], (), [root] + links, [("A", "B"), ("B", "C")])
+        fused, real_fuse = [], solver.fuse
+
+        def counting_fuse(pool, variable, *args, **kwargs):
+            fused.append(variable.name)
+            return real_fuse(pool, variable, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "fuse", counting_fuse)
+        assert propagate_marginal(net, "A") == root.ballooned
+        assert fused == []
+
+    def test_barren_potential_failing_d_is_refused(self):
+        a, b = random_var("A", ("x", "y")), random_var("B", ("u", "v"))
+        root = conditional(a, [], {(): [({"x", "y"}, 1.0)]})
+        # A point mass on the joint frame does not marginalize to vacuous on A.
+        point = make_bpa([a, b], [(frozenset([make_config({"A": "x", "B": "u"})]), 1.0)])
+        barren = ConditionalPotential(b, (a,), {}, point)
+        net = Network([a, b], (), [root, barren], [("A", "B")])
+        with pytest.raises(NotWellDefinedError):
+            propagate_marginal(net, "A")
+        assert propagate_marginal(net, "A", checked=False) == root.ballooned
 
     def test_rejects_decision_networks(self, wildcatter):
         with pytest.raises(ValnetError):
