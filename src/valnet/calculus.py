@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
 from .model import DIAMOND, RANDOM, Variable, concat_configs, make_config, project_config
@@ -34,8 +34,9 @@ def check_lambda(lam):
     return lam
 
 
-@dataclass(frozen=True)
-class SolutionTable:
+class SolutionTable(
+    namedtuple("SolutionTable", "decision context choices conflicts", defaults=(frozenset(),))
+):
     """Recorded optimal acts for one decision variable.
 
     ``choices`` maps each configuration of the remaining variables to the act
@@ -43,10 +44,7 @@ class SolutionTable:
     contexts where individual focals preferred different acts.
     """
 
-    decision: str
-    context: tuple
-    choices: dict
-    conflicts: frozenset = field(default_factory=frozenset)
+    __slots__ = ()
 
 
 def _merge_frames(valuations):

@@ -11,7 +11,7 @@ where a set enters the program (``make_bpa``, ``belief_of``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainMismatchError, NetworkError
 
@@ -24,23 +24,23 @@ Config = tuple
 DIAMOND: Config = ()
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(namedtuple("Variable", "name kind frame")):
     """A decision or random variable with an ordered finite frame."""
 
-    name: str
-    kind: str
-    frame: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (DECISION, RANDOM):
-            raise NetworkError("variable %r: kind must be %r or %r" % (self.name, DECISION, RANDOM))
-        frame = tuple(self.frame)
-        object.__setattr__(self, "frame", frame)
+    def __new__(cls, name, kind, frame):
+        if kind not in (DECISION, RANDOM):
+            raise NetworkError("variable %r: kind must be %r or %r" % (name, DECISION, RANDOM))
+        frame = tuple(frame)
         if not frame:
-            raise NetworkError("variable %r: frame is empty" % self.name)
+            raise NetworkError("variable %r: frame is empty" % name)
         if len(set(frame)) != len(frame):
-            raise NetworkError("variable %r: frame labels are not unique" % self.name)
+            raise NetworkError("variable %r: frame labels are not unique" % name)
+        return super().__new__(cls, name, kind, frame)
+
+    # ``_replace`` builds through ``_make``, which would skip ``__new__``.
+    _make = classmethod(lambda cls, it: cls(*it))
 
     @property
     def is_decision(self):

@@ -10,26 +10,25 @@ is conditional on its parents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import NetworkError
 from .model import DECISION, RANDOM
 from .valuation import UTILITY, is_conditional, is_vacuous
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: str
-    condition: str
-    message: str
+class Finding(namedtuple("Finding", "severity condition message")):
+    __slots__ = ()
 
     def line(self):
         return "%s %s %s" % (self.severity, self.condition, self.message)
 
 
-@dataclass
-class ValidationReport:
-    findings: list = field(default_factory=list)
+class ValidationReport(namedtuple("ValidationReport", "findings")):
+    __slots__ = ()
+
+    def __new__(cls, findings=None):
+        return super().__new__(cls, [] if findings is None else findings)
 
     @property
     def ok(self):

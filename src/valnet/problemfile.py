@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MassError, ProblemFormatError
 from .model import Variable, all_configs, make_config
@@ -36,10 +36,7 @@ _BPA_ENTRY = re.compile(r"(?:((?:%s\s+)*%s)\s*:)?\s*\{([^}]*)\}\s*=\s*(%s)" % (_
 _LAMBDA = re.compile(r"lambda\s*=\s*(%s)\s*" % _TOKEN)
 
 
-@dataclass
-class ParsedProblem:
-    network: Network
-    lam: float = None
+ParsedProblem = namedtuple("ParsedProblem", "network lam", defaults=(None,))
 
 
 def _statements(text):

@@ -10,7 +10,7 @@ random variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .calculus import (
     check_lambda,
@@ -19,56 +19,63 @@ from .calculus import (
     marginalize,
     marginalize_belief,
 )
-from .errors import NetworkError, NotWellDefinedError, SolverError, ValnetError
+from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError
 from .model import DIAMOND, DECISION, RANDOM, all_configs, make_config
 from .network import elimination_order, validate
 
 ORACLE_GUARD = 10 ** 6
 
 
-@dataclass(frozen=True)
-class FusionStep:
+class FusionStep(
+    namedtuple(
+        "FusionStep",
+        "index variable kind inputs combined provenance result contributions solution",
+        defaults=(None,),
+    )
+):
     """One elimination step; ``solve(..., trace=True)`` keeps them numbered from 1."""
 
-    index: int
-    variable: str
-    kind: str
-    inputs: tuple
-    combined: object
-    provenance: tuple
-    result: object
-    contributions: tuple
-    solution: object = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """An act for every decision variable as a function of earlier randoms."""
+class Strategy(namedtuple("Strategy", "tables")):
+    """An act for every decision variable as a function of earlier randoms.
 
-    tables: dict  # decision name -> (tuple of random names, {Config: act})
+    ``tables`` maps a decision name to (tuple of random names, {Config: act}).
+    """
+
+    __slots__ = ()
 
     def decide(self, decision, assignment):
-        """Act for a decision given a {random variable: value} assignment."""
+        """Act for a decision given a {random variable: value} assignment.
+
+        Raises NetworkError for a decision without a table and
+        DomainMismatchError for a missing or out-of-frame value.
+        """
+        if decision not in self.tables:
+            raise NetworkError("the strategy has no table for %r" % decision)
         names, mapping = self.tables[decision]
-        key = make_config({n: assignment[n] for n in names})
-        return mapping[key]
+        values = {n: assignment.get(n) for n in names}
+        act = mapping.get(make_config(values))
+        if act is None:
+            frames = {n: sorted({dict(x)[n] for x in mapping}) for n in names}
+            bad = next(n for n in names if values[n] not in frames[n])
+            raise DomainMismatchError(
+                "deciding %r needs %r in %r, got %r" % (decision, bad, frames[bad], values[bad])
+            )
+        return act
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    lam: float
-    expected_value: float
-    solutions: dict
-    strategy: Strategy
-    trace: tuple = None
+SolveResult = namedtuple("SolveResult", "lam expected_value solutions strategy trace", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class UtilityInterval:
-    """Per-act lower and upper expected utilities of a canonical problem."""
+class UtilityInterval(namedtuple("UtilityInterval", "decision bounds")):
+    """Per-act lower and upper expected utilities of a canonical problem.
 
-    decision: str
-    bounds: dict  # act -> (lower, upper)
+    ``bounds`` maps each act to (lower, upper).
+    """
+
+    __slots__ = ()
 
 
 def fuse(pool, variable, lam=None, policy=None):
@@ -84,7 +91,7 @@ def fuse(pool, variable, lam=None, policy=None):
         raise ValnetError("no valuation in the pool mentions %r" % variable.name)
     combined, provenance = combine_all_traced(touched)
     result, table, contributions = marginalize(combined, variable, lam=lam, policy=policy)
-    result = replace(result, label="elim_%s" % variable.name)
+    result = result._replace(label="elim_%s" % variable.name)
     step = FusionStep(
         index=0,
         variable=variable.name,
@@ -129,7 +136,7 @@ def solve(network, lam, trace=False, policy_tables=None, checked=True):
         policy = (policy_tables or {}).get(name)
         pool, step = fuse(pool, network.by_name[name], lam=lam, policy=policy)
         if trace:
-            steps.append(replace(step, index=i + 1))
+            steps.append(step._replace(index=i + 1))
         if step.solution is not None:
             solutions[name] = step.solution
     expected = _finish(pool)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, MassError, NetworkError, SolverError, UtilityError
 from .model import Variable, all_configs, concat_configs, make_config
@@ -20,24 +20,25 @@ BELIEF = "belief"
 UTILITY = "utility"
 GENERAL = "general"
 
-# Absolute tolerance on bpa mass sums; relative tolerance for value comparisons.
+# Absolute tolerance on bpa mass sums.
 MASS_TOL = 1e-9
-VALUE_RTOL = 1e-6
 # Most focal combinations ``balloon`` enumerates (one focal per parent
 # configuration); 3 focals on each of 9 parent configurations give 19,683.
 BALLOON_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class Focal:
+class Focal(namedtuple("Focal", "support values")):
     """An extended focal element: a support set and one value per member."""
 
-    support: frozenset
-    values: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.values.keys() != self.support:
+    def __new__(cls, support, values):
+        if values.keys() != support:
             raise DomainMismatchError("focal values must cover exactly the support")
+        return super().__new__(cls, support, values)
+
+    # ``_replace`` builds through ``_make``, which would skip ``__new__``.
+    _make = classmethod(lambda cls, it: cls(*it))
 
     @property
     def mass(self):
@@ -45,13 +46,19 @@ class Focal:
         return next(iter(self.values.values()))
 
 
-@dataclass(frozen=True)
-class Valuation:
-    domain: frozenset
-    frames: dict
-    kind: str
-    focals: tuple
-    label: str = field(default="", compare=False)
+class Valuation(namedtuple("Valuation", "domain frames kind focals label", defaults=("",))):
+    __slots__ = ()
+
+    # The label only names a valuation: equality ignores it, and a tuple that
+    # is not a Valuation is never equal.  ``frames`` is a dict, so no hash.
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
     def full_frame_size(self):
         return math.prod(len(self.frames[n]) for n in self.domain)
@@ -259,15 +266,13 @@ def is_conditional(v, head_name, tol=MASS_TOL):
     return is_vacuous(marginalize_belief(v, head_name), tol)
 
 
-@dataclass(frozen=True)
-class ConditionalPotential:
+class ConditionalPotential(
+    namedtuple("ConditionalPotential", "head parents tables ballooned label", defaults=("",))
+):
     """A per-parent family of bpas over one random variable, ballooned eagerly."""
 
-    head: Variable
-    parents: tuple
-    tables: dict
-    ballooned: Valuation
-    label: str = field(default="", compare=False)
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = Valuation.__eq__, Valuation.__ne__, Valuation.__hash__
 
     @property
     def domain(self):
@@ -304,18 +309,3 @@ def conditional(head, parents, tables, label=""):
     ballooned = balloon(head, parents, normalized, label=label)
     return ConditionalPotential(head, parents, normalized, ballooned, label)
 
-
-def values_close(a, b, rtol=VALUE_RTOL, atol=1e-9):
-    return abs(a - b) <= max(atol, rtol * max(abs(a), abs(b)))
-
-
-def valuations_close(u, v, rtol=VALUE_RTOL, atol=1e-9):
-    """Structural near-equality: same domains and supports, close values."""
-    if u.domain != v.domain or len(u.focals) != len(v.focals):
-        return False
-    for fu, fv in zip(u.focals, v.focals):
-        if fu.support != fv.support:
-            return False
-        if not all(values_close(fu.values[x], fv.values[x], rtol, atol) for x in fu.values):
-            return False
-    return True

@@ -1,4 +1,5 @@
-"""Random generation of valid networks and independent brute-force evaluators."""
+"""Random generation of valid networks, independent brute-force evaluators,
+and near-equality of valuations."""
 
 from valnet import (
     Network,
@@ -196,3 +197,22 @@ def exhaustive_max(net):
             total += u.focals[0].values[key]
         best = total if best is None else max(best, total)
     return best
+
+
+VALUE_RTOL = 1e-6
+
+
+def values_close(a, b, rtol=VALUE_RTOL, atol=1e-9):
+    return abs(a - b) <= max(atol, rtol * max(abs(a), abs(b)))
+
+
+def valuations_close(u, v, rtol=VALUE_RTOL, atol=1e-9):
+    """Structural near-equality: same domains and supports, close values."""
+    if u.domain != v.domain or len(u.focals) != len(v.focals):
+        return False
+    for fu, fv in zip(u.focals, v.focals):
+        if fu.support != fv.support:
+            return False
+        if not all(values_close(fu.values[x], fv.values[x], rtol, atol) for x in fu.values):
+            return False
+    return True

@@ -23,10 +23,10 @@ from valnet import (
 )
 from valnet.calculus import marginalize, marginalize_belief
 from valnet.cli import EXIT_INVALID, EXIT_OK, main
-from valnet.valuation import is_vacuous, make_utility, valuations_close
+from valnet.valuation import is_vacuous, make_utility
 
 from conftest import ACCEPTANCE_LINES
-from netgen import random_canonical, random_network, random_subsets, rollback_value
+from netgen import random_canonical, random_network, random_subsets, rollback_value, valuations_close
 from test_calculus import bpa_from_subsets
 
 

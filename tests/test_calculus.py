@@ -17,9 +17,9 @@ from valnet import (
 )
 from valnet import calculus
 from valnet.calculus import combine_all_traced, marginalize_belief
-from valnet.valuation import GENERAL, Valuation, canonical_focals, valuations_close
+from valnet.valuation import GENERAL, Valuation, canonical_focals
 
-from netgen import random_subsets
+from netgen import random_subsets, valuations_close
 
 D = decision("D", ("d", "~d"))
 R = random_var("R", ("re", "ye", "gr", "nr"))

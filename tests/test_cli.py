@@ -242,6 +242,17 @@ def fresh(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_cli_import_loads_no_dataclass_machinery():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    which cost every CLI start; ``-I`` keeps PYTHONPATH out."""
+    code = "import sys; sys.path.insert(0, %r); import valnet.cli; print(*sys.modules)" % str(SRC)
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "valnet.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def readme_solve_lines():
     text = (ROOT / "README.md").read_text()
     return text.split("$ valnet solve problems/wildcatter.vn\n", 1)[1].split("```", 1)[0]

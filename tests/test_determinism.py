@@ -5,7 +5,6 @@ hash seed, so each seed runs in its own interpreter.  The digest sorts every
 set and dict, so it changes only when a value, a choice or a record does.
 """
 
-import dataclasses
 import hashlib
 import os
 import pathlib
@@ -38,11 +37,10 @@ def canonical(obj):
         return sorted((repr(canonical(k)), canonical(v)) for k, v in obj.items())
     if isinstance(obj, (set, frozenset)):
         return sorted(repr(canonical(x)) for x in obj)
+    if hasattr(obj, "_fields"):
+        return [type(obj).__name__] + [(f, canonical(getattr(obj, f))) for f in obj._fields]
     if isinstance(obj, (list, tuple)):
         return [canonical(x) for x in obj]
-    if dataclasses.is_dataclass(obj):
-        fields = dataclasses.fields(obj)
-        return [type(obj).__name__] + [(f.name, canonical(getattr(obj, f.name))) for f in fields]
     return obj
 
 

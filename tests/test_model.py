@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from valnet import (
     DIAMOND,
     DomainMismatchError,
+    NetworkError,
+    Variable,
     concat_configs,
     decision,
     make_config,
@@ -65,6 +67,31 @@ def test_variable_invariants():
         decision("D", ())
     with pytest.raises(Exception):
         random_var("R", ("a", "a"))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"kind": "bogus"}, {"frame": ()}, {"frame": ["a", "a"]}, {"kind": "bogus", "frame": ["a", "a"]}],
+)
+def test_variable_is_checked_on_every_construction_path(change):
+    v = decision("D", ("a", "b"))
+    fields = dict(v._asdict(), **change)
+    with pytest.raises(NetworkError):
+        Variable(**fields)
+    with pytest.raises(NetworkError):
+        v._replace(**change)
+    with pytest.raises(NetworkError):
+        Variable._make(fields.values())
+
+
+def test_variable_copies_normalize_the_frame_and_stay_frozen():
+    v = decision("D", ("a", "b"))
+    assert v._replace(frame=["a", "c"]) == decision("D", ("a", "c"))
+    assert Variable._make(["D", "decision", ["a", "b"]]).frame == ("a", "b")
+    with pytest.raises(AttributeError):
+        v.frame = ("c",)
+    with pytest.raises(AttributeError):
+        v.note = "new attribute"
 
 
 # Property tests over random configurations of the wildcatter frames.

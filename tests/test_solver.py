@@ -1,12 +1,13 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from valnet import (
     DIAMOND,
     ConditionalPotential,
+    DomainMismatchError,
     Network,
+    NetworkError,
     NotWellDefinedError,
     SolverError,
     ValnetError,
@@ -28,7 +29,6 @@ from valnet import (
 )
 from valnet import solver
 from valnet.calculus import combine_all, marginalize_belief
-from valnet.valuation import valuations_close
 
 from netgen import (
     exhaustive_max,
@@ -36,6 +36,7 @@ from netgen import (
     random_network,
     random_propagation,
     rollback_value,
+    valuations_close,
 )
 
 
@@ -70,6 +71,19 @@ class TestWildcatter:
         assert result.strategy.decide("T", {}) == "t"
         assert result.strategy.decide("D", {"R": "gr"}) == "d"
         assert result.strategy.decide("D", {"R": "ye"}) == "~d"
+        assert result.strategy.decide("D", {"R": "ye", "O": "dr"}) == "~d"
+
+    def test_decide_without_a_table_is_a_network_error(self, wildcatter):
+        with pytest.raises(NetworkError, match="'Q'"):
+            solve(wildcatter.network, 0.5).strategy.decide("Q", {})
+
+    def test_decide_without_a_value_names_the_variable(self, wildcatter):
+        with pytest.raises(DomainMismatchError, match="needs 'R' in .*got None"):
+            solve(wildcatter.network, 0.5).strategy.decide("D", {})
+
+    def test_decide_outside_the_frame_names_the_variable(self, wildcatter):
+        with pytest.raises(DomainMismatchError, match="needs 'R' in .*got 'zz'"):
+            solve(wildcatter.network, 0.5).strategy.decide("D", {"R": "zz"})
 
     def test_oracle_agrees(self, wildcatter):
         for lam in (0.0, 0.3, 0.5, 1.0):
@@ -274,7 +288,7 @@ class TestGuards:
         table = solve(net, 0.5).solutions["D"]
         choices = dict(table.choices)
         del choices[cfg(R="gr")]
-        policy = replace(table, choices=choices)
+        policy = table._replace(choices=choices)
         with pytest.raises(SolverError, match=r"policy for 'D' has no act for the context \(\('R', 'gr'\),\)"):
             solve(net, 0.5, policy_tables={"D": policy})
 

@@ -329,6 +329,51 @@ def test_focal_values_must_cover_exactly_the_support():
             Focal(support, values)
 
 
+def test_focal_is_checked_on_every_construction_path():
+    support = focal_set({"T": "t"}, {"T": "~t"})
+    f = Focal(support, {x: 0.5 for x in support})
+    partial = {make_config({"T": "t"}): 1.0}
+    with pytest.raises(DomainMismatchError):
+        f._replace(values=partial)
+    with pytest.raises(DomainMismatchError):
+        f._replace(support=focal(T="t") | focal(R="re"))
+    with pytest.raises(DomainMismatchError):
+        Focal._make([support, partial])
+    assert Focal._make([support, dict(f.values)]) == f
+
+
+def test_valuation_equality_ignores_the_label():
+    b = make_bpa([R], [(focal(R="re"), 0.4), (focal(R="ye") | focal(R="gr"), 0.6)], label="b")
+    renamed = b._replace(label="other")
+    assert b == renamed
+    assert not b != renamed
+    assert b != b._replace(kind="general")
+    assert b != tuple(b)
+    assert b != tuple(renamed)
+    assert tuple(b) != b
+    with pytest.raises(TypeError):
+        hash(b)
+
+
+def test_conditional_potential_equality_ignores_the_label():
+    p = conditional(O, [R], {(r,): [({"dr", "we"}, 0.5), ({"so"}, 0.5)] for r in R.frame}, label="p")
+    renamed = p._replace(label="q", ballooned=p.ballooned._replace(label="q"))
+    assert p == renamed
+    assert not p != renamed
+    assert p != tuple(p)
+    assert p != p._replace(tables={})
+
+
+def test_records_are_frozen():
+    v = vacuous([R], label="v")
+    with pytest.raises(AttributeError):
+        v.label = "w"
+    with pytest.raises(AttributeError):
+        v.focals[0].values = {}
+    with pytest.raises(AttributeError):
+        v.note = "new attribute"
+
+
 def test_singleton_bpa_round_trips_as_probability():
     probs = {"re": 0.1, "ye": 0.2, "gr": 0.3, "nr": 0.4}
     b = make_bpa([R], [(focal(R=v), p) for v, p in probs.items()])
