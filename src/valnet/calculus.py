@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
 from .model import DIAMOND, RANDOM, Variable, concat_configs, make_config, project_config
-from .valuation import BELIEF, GENERAL, UTILITY, Valuation, canonical_focals
+from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, canonical_focals
 
 CONFLICT_TOL = 1e-12
 # Most combinations of one focal per input that ``combine_all_traced`` joins.
@@ -117,10 +117,12 @@ def combine_all_traced(valuations):
     combination of belief focals is built once: the empty ones make up the
     conflict, by which the belief part is renormalized, and the non-belief
     focals are joined with the others.  Non-beliefs are combined before beliefs.
-    Each distinct joint support is one frozenset; a belief-only pool sums one
-    mass list per joint support, since every member carries the same masses,
-    and a pool with non-beliefs sums one value list per configuration.  Each
-    belief focal's mass is read once, into one list per input.  More
+    Each distinct joint support is one frozenset.  Each combination gives one
+    values dict over its joint (one mass in a belief-only pool, since every
+    member carries the same mass); only a joint that several combinations
+    reach sums them, per configuration, by an exact fsum.  A pool without
+    beliefs joins only its non-belief parts.  Each belief focal's mass is
+    read once, into one list per input.  More
     than ``COMBINE_LIMIT`` focal combinations raise ``SolverError`` before any
     join.
 
@@ -162,39 +164,41 @@ def combine_all_traced(valuations):
 
     joints = belief_joints
     if others:
-        belief_union = frozenset().union(*domains[n_others:])
-        joints = _joint_supports(
-            parts[:n_others] + [belief_joints], domains[:n_others] + [belief_union]
-        )
+        parts, domains = parts[:n_others], domains[:n_others]
+        if beliefs:  # the diamond alone would only copy every configuration
+            parts.append(belief_joints)
+            domains.append(frozenset().union(*(v.domain for v in beliefs)))
+        joints = _joint_supports(parts, domains)
     projectors = [_projector(sorted(union), v.domain) for v in others]
     accum, provenance = {}, {}
     for combo, members in joints.items():
         mass = math.prod(m[i] for m, i in zip(masses, combo[n_others:])) / norm
         joint = frozenset(members)
-        if joint not in accum:
-            accum[joint] = {z: [] for z in joint} if others else []
-        sums = accum[joint]
         if others:
             adds = [(p, v.focals[i].values) for p, v, i in zip(projectors, others, combo)]
-            for z in sums:
+            values = {}
+            for z in joint:
                 total = 0.0
                 for project, vals in adds:
                     total += vals[project(z)]
-                # Without beliefs mass is 1.0, and total * 1.0 is total.
-                sums[z].append(total * mass)
+                # fsum([x]) is x + 0.0, the value of a joint one combination reaches.
+                values[z] = total * mass + 0.0
         else:
-            sums.append(mass)
+            values = mass
+        accum.setdefault(joint, []).append(values)
         provenance.setdefault(joint, []).append(tuple(i for _, i in sorted(zip(order, combo))))
 
     if not accum:
         raise TotalConflictError("no joint focal has a nonempty support")
 
     items = []
-    for joint, sums in accum.items():
-        if others:
-            values = {z: _fsum(vals) for z, vals in sums.items()}
+    for joint, found in accum.items():
+        if not others:
+            values = dict.fromkeys(joint, found[0] if len(found) == 1 else _fsum(found))
+        elif len(found) > 1:
+            values = {z: _fsum([d[z] for d in found]) for z in found[0]}
         else:
-            values = dict.fromkeys(joint, _fsum(sums))
+            values = found[0]
         items.append((joint, _finite(values, "combined value")))
     focals = canonical_focals(items, GENERAL if others else BELIEF)
     kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
@@ -212,8 +216,8 @@ def _fsum(vals):
 
 def _finite(values, what):
     """``values`` as given if all are finite; else name the smallest bad configuration."""
-    bad = [x for x, val in values.items() if not math.isfinite(val)]
-    if bad:
+    if not all(map(math.isfinite, values.values())):
+        bad = [x for x, val in values.items() if not math.isfinite(val)]
         raise SolverError("%s is not finite at %r" % (what, min(bad)))
     return values
 
@@ -256,7 +260,8 @@ def marginalize(v, variable, lam=None, policy=None):
     # Split each focal by projection, then group focals by projected support;
     # the first focal's set is the group's key and its support.  A belief
     # focal's mass is read once here.
-    project = _projector(sorted(v.domain), rest)
+    domain = sorted(v.domain)
+    project, pos = _projector(domain, rest), domain.index(name)
     groups = {}
     for idx, f in enumerate(v.focals):
         slices = {}
@@ -268,9 +273,11 @@ def marginalize(v, variable, lam=None, policy=None):
 
     scores = {}
     focal_prefs = {}
-    items = []
-    contributions = {}
-    for support in sorted(groups, key=sorted):
+    focals = []
+    contributions = []
+    # The groups are distinct supports: sorting them and dropping zero-mass
+    # belief focals is all that canonical_focals would add.
+    for support in sorted(groups, key=sorted) if len(groups) > 1 else groups:
         values = {}
         contribs = {}
         for x in support:
@@ -283,30 +290,32 @@ def marginalize(v, variable, lam=None, policy=None):
                     contrib = _policy_value(ext, x, name, policy)
                 elif is_dec:
                     # x and an act determine the configuration: one value per act.
-                    peaks = {dict(y)[name]: val for y, val in ext.items()}
+                    peaks = {y[pos][1]: val for y, val in ext.items()}
                     contrib = max(peaks.values())
                     acts = scores.setdefault(x, {})
                     for act, val in peaks.items():
                         acts[act] = acts.get(act, 0.0) + val
-                    focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
+                    if len(v.focals) > 1:  # one focal cannot conflict with itself
+                        focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
                 else:
                     contrib = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
                 contribs[(idx, x)] = contrib
                 total += contrib
             values[x] = total
-        items.append((support, _finite(values, "marginal value")))
-        contributions[support] = contribs
+        if belief and all(m == 0 for m in values.values()):
+            continue
+        focals.append(Focal(support, _finite(values, "marginal value")))
+        contributions.append(contribs)
 
-    focals = canonical_focals(items, BELIEF if belief else GENERAL)
     kind = BELIEF if belief else _nonbelief_kind(rest, frames, focals)
-    result = Valuation(rest, frames, kind, focals)
+    result = Valuation(rest, frames, kind, tuple(focals))
 
     table = None
     if is_dec and policy is None:
         choices = {x: _best_act(acts, variable.frame) for x, acts in scores.items()}
         conflicts = frozenset(x for x, prefs in focal_prefs.items() if len(prefs) > 1)
         table = SolutionTable(name, tuple(sorted(rest)), choices, conflicts)
-    return result, table, [contributions[f.support] for f in focals]
+    return result, table, contributions
 
 
 def _best_act(acts, frame):

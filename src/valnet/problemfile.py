@@ -14,7 +14,9 @@ span lines):
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from collections import namedtuple
 
@@ -196,29 +198,37 @@ def _parse_utility(b, stmt, lineno):
     variables = [b.need_var(n, lineno) for n in names]
     if len(set(names)) != len(names):
         raise ProblemFormatError("utility %r repeats a variable" % label, lineno)
+    # Value tokens in the statement's variable order -> configuration.
+    order = sorted(range(len(names)), key=names.__getitem__)
+    pick = operator.itemgetter(*order) if len(order) > 1 else tuple
+    sorted_names = sorted(names)
+    lookup = {
+        tokens: tuple(zip(sorted_names, pick(tokens)))
+        for tokens in itertools.product(*(v.frame for v in variables))
+    }
     table = {}
     for entry in _entries(body):
         m2 = _UTILITY_ENTRY.fullmatch(entry)
         if not m2:
             raise ProblemFormatError("malformed utility entry %r" % entry, lineno)
-        tokens = m2.group(1).split()
-        if len(tokens) != len(variables):
-            raise ProblemFormatError(
-                "utility entry %r needs one value per variable of %r" % (entry, names),
-                lineno,
-            )
-        cfg = make_config(
-            {v.name: b.need_value(v, t, lineno) for v, t in zip(variables, tokens)}
-        )
+        tokens = tuple(m2.group(1).split())
+        cfg = lookup.get(tokens)
+        if cfg is None:  # name the first bad token
+            if len(tokens) != len(variables):
+                raise ProblemFormatError(
+                    "utility entry %r needs one value per variable of %r" % (entry, names),
+                    lineno,
+                )
+            for v, t in zip(variables, tokens):
+                b.need_value(v, t, lineno)
         if cfg in table:
             raise ProblemFormatError("duplicate utility entry %r" % entry, lineno)
         table[cfg] = _parse_number(m2.group(2), lineno, "utility value")
-    expected = set(all_configs([v.name for v in variables], {v.name: v.frame for v in variables}))
-    missing = expected - set(table)
-    if missing:
+    if len(table) < len(lookup):
+        missing = [cfg for cfg in lookup.values() if cfg not in table]
         raise ProblemFormatError(
             "utility %r is missing %d configuration(s), e.g. %r"
-            % (label, len(missing), sorted(missing)[0]),
+            % (label, len(missing), min(missing)),
             lineno,
         )
     b.utilities.append(make_utility(variables, table, label=label))

@@ -75,19 +75,20 @@ def frames_of(variables):
 def canonical_focals(items, kind):
     """Merge focals with equal supports by pointwise summation and sort them.
 
-    A merged focal keeps the first item's support.  Belief-kind zero-mass
-    focals are dropped.
+    A merged focal keeps the first item's support.  A focal adopts its item's
+    values dict; a merge sums into a copy, so no given dict is changed.
+    Belief-kind zero-mass focals are dropped.
     """
     merged = {}
     for support, values in items:
         if support in merged:
-            old = merged[support]
+            old = merged[support] = dict(merged[support])
             for x, v in values.items():
                 old[x] = old.get(x, 0.0) + v
         else:
-            merged[support] = dict(values)
+            merged[support] = values
     focals = []
-    for support in sorted(merged, key=sorted):
+    for support in sorted(merged, key=sorted) if len(merged) > 1 else merged:
         values = merged[support]
         if kind == BELIEF and all(v == 0 for v in values.values()):
             continue

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -187,6 +188,58 @@ class TestMixedCombination:
         with pytest.raises(SolverError, match="combining would join 8 focal combinations, "
                            "more than the limit of 4"):
             combine_all([b1, u, b2, b1])
+
+
+class TestEdgeBits:
+    """Bits that the fast paths of the kernel must reproduce exactly."""
+
+    X = random_var("X", ("a", "b", "c"))
+    AB, ABC = [cfg(X="a"), cfg(X="b")], [cfg(X="a"), cfg(X="b"), cfg(X="c")]
+
+    def pair(self):
+        b1 = make_bpa([self.X], [(self.AB, 0.25), (self.ABC, 0.15), ([cfg(X="c")], 0.6)])
+        b2 = make_bpa([self.X], [(self.AB, 0.4), (self.ABC, 0.6)])
+        return b1, b2
+
+    @pytest.mark.parametrize("with_belief", [False, True])
+    def test_negative_zero_utility_combines_to_positive_zero(self, with_belief):
+        u = make_utility([self.X], {cfg(X="a"): -0.0, cfg(X="b"): 1.0, cfg(X="c"): 2.0})
+        pool = [u, vacuous([self.X])] if with_belief else [u]
+        value = combine_all(pool).focals[0].values[cfg(X="a")]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_underflowing_mixed_product_is_positive_zero(self):
+        # -1e-200 times mass 1e-200 rounds to -0.0; the sum over one
+        # combination is +0.0, as an exact sum of that one value is.
+        u = make_utility([self.X], {cfg(X="a"): -1e-200, cfg(X="b"): 1.0, cfg(X="c"): 2.0})
+        b = make_bpa([self.X], [([cfg(X="a")], 1e-200), (self.ABC, 1.0)])
+        (tiny,) = [f for f in combine_all([u, b]).focals if len(f.support) == 1]
+        assert math.copysign(1.0, tiny.values[cfg(X="a")]) == 1.0
+
+    def test_joint_reached_by_several_combinations_is_an_exact_sum(self):
+        b1, b2 = self.pair()
+        out, prov = combine_all_traced([b1, b2])
+        assert prov[0] == [(0, 0), (0, 1), (1, 0)]
+        assert [v.hex() for v in out.focals[0].values.values()] == ["0x1.a1af286bca1afp-2"] * 2
+        u = make_utility([self.X], {cfg(X="a"): 3.0, cfg(X="b"): -7.0, cfg(X="c"): 1.0})
+        out, prov = combine_all_traced([b1, u, b2])
+        assert prov[0] == [(0, 0, 0), (0, 0, 1), (1, 0, 0)]
+        values = out.focals[0].values
+        # A left-to-right sum of the three products gives -0x1.6d79435e50d78p+1.
+        assert values[cfg(X="b")].hex() == "-0x1.6d79435e50d79p+1"
+        assert values[cfg(X="a")].hex() == "0x1.39435e50d7943p+0"
+
+    def test_one_focal_decision_step_reports_no_conflicts(self):
+        rows = {"d": (0.0, 2.0, 1.0, 1.0), "~d": (1.0, 1.0, 1.0, 0.0)}
+        v = make_utility([D, R], {
+            cfg(D=d, R=r): value for d in D.frame for r, value in zip(R.frame, rows[d])
+        })
+        _, table, _ = marginalize(v, D)
+        assert table.conflicts == frozenset()
+        # The tie at gr goes to the first act of the frame.
+        assert table.choices == {
+            cfg(R="re"): "~d", cfg(R="ye"): "d", cfg(R="gr"): "d", cfg(R="nr"): "d"
+        }
 
 
 def general_valuation(domain, frames, items):

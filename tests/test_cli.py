@@ -244,9 +244,10 @@ def fresh(*argv):
 
 def test_cli_import_loads_no_dataclass_machinery():
     """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
-    which cost every CLI start; ``-I`` keeps PYTHONPATH out."""
+    which cost every CLI start; ``-I`` keeps PYTHONPATH out.  ``-I`` also
+    ignores PYTHONDONTWRITEBYTECODE, so ``-B`` keeps ``.pyc`` files out of src."""
     code = "import sys; sys.path.insert(0, %r); import valnet.cli; print(*sys.modules)" % str(SRC)
-    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "valnet.cli" in loaded

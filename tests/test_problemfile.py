@@ -124,6 +124,52 @@ class TestErrors:
         err = parse_error("decision D { a, b }\nutility u on {D} { a = 1 }\n")
         assert err.line == 2
 
+    @pytest.mark.parametrize("row", ["a = 1", "a x y = 1"])
+    def test_utility_row_with_the_wrong_token_count(self, row):
+        err = parse_error(
+            "decision D { a, b }\nrandom R { x, y }\nutility u on {D, R} {\n %s }\n" % row
+        )
+        assert err.line == 3
+        assert str(err) == (
+            "line 3: utility entry %r needs one value per variable of ['D', 'R']" % row
+        )
+
+    def test_duplicate_utility_row_is_reported_before_its_value(self):
+        err = parse_error(
+            "decision D { a, b }\nrandom R { x, y }\n"
+            "utility u on {R, D} { x a = 1; y a = 2;\n x a = one }\n"
+        )
+        assert err.line == 3
+        assert str(err) == "line 3: duplicate utility entry 'x a = one'"
+
+    @pytest.mark.parametrize("row, message", [
+        ("z a = 2", "'z' is not a value of variable 'R'"),
+        ("y c = 2", "'c' is not a value of variable 'D'"),
+        ("z c = 2", "'z' is not a value of variable 'R'"),
+    ])
+    def test_unknown_value_in_a_two_variable_row(self, row, message):
+        err = parse_error(
+            "decision D { a, b }\nrandom R { x, y }\nutility u on {R, D} { x a = 1; %s }\n" % row
+        )
+        assert err.line == 3
+        assert str(err) == "line 3: " + message
+
+    def test_first_bad_utility_row_wins(self):
+        err = parse_error(
+            "decision D { a, b }\nrandom R { x, y }\nutility u on {R, D} { x a = one; z a = 2 }\n"
+        )
+        assert str(err) == "line 3: bad utility value 'one'"
+
+    def test_missing_utility_configurations_are_counted(self):
+        err = parse_error(
+            "decision D { a, b }\nrandom R { x, y, z }\n\n"
+            "utility u on {R, D} {\n x a = 1;\n y b = 2 }\n"
+        )
+        assert err.line == 4
+        assert str(err) == (
+            "line 4: utility 'u' is missing 4 configuration(s), e.g. (('D', 'a'), ('R', 'y'))"
+        )
+
     def test_duplicate_label(self):
         err = parse_error(
             "decision D { a, b }\n"

@@ -329,6 +329,18 @@ def test_focal_values_must_cover_exactly_the_support():
             Focal(support, values)
 
 
+def test_canonical_focals_merges_without_changing_its_inputs():
+    both = focal_set({"T": "t"}, {"T": "~t"})
+    first, second, third = ({x: m for x in both} for m in (0.25, 0.5, 0.125))
+    alone = {make_config({"T": "t"}): 0.125}
+    items = [(both, first), (focal(T="t"), alone), (both, second), (both, third)]
+    copies = [dict(values) for _, values in items]
+    out = valuation.canonical_focals(items, valuation.BELIEF)
+    assert [values for _, values in items] == copies
+    assert [f.values for f in out] == [alone, {x: 0.875 for x in both}]
+    assert out[0].values is alone  # a focal that merges nothing adopts its dict
+
+
 def test_focal_is_checked_on_every_construction_path():
     support = focal_set({"T": "t"}, {"T": "~t"})
     f = Focal(support, {x: 0.5 for x in support})
