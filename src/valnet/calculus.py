@@ -28,7 +28,10 @@ COMBINE_LIMIT = 10 ** 6
 def check_lambda(lam):
     if lam is None:
         raise ValnetError("a weighting factor in [0, 1] is required")
-    lam = float(lam)
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError, OverflowError):
+        raise ValnetError("weighting factor %r is not a number in [0, 1]" % (lam,))
     if not 0.0 <= lam <= 1.0:
         raise ValnetError("weighting factor %r is outside [0, 1]" % lam)
     return lam

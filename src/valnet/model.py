@@ -75,12 +75,12 @@ def concat_configs(x, y):
     return tuple(sorted(x + y))
 
 
+def iter_configs(names, frames):
+    """Every configuration of the given variables, lazily, in a deterministic order."""
+    names = sorted(names)
+    return (tuple(zip(names, combo)) for combo in itertools.product(*(frames[n] for n in names)))
+
+
 def all_configs(names, frames):
     """Every configuration of the given variables, in a deterministic order."""
-    names = sorted(names)
-    if not names:
-        return [DIAMOND]
-    return [
-        tuple(zip(names, combo))
-        for combo in itertools.product(*(frames[n] for n in names))
-    ]
+    return list(iter_configs(names, frames))

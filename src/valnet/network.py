@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .errors import NetworkError
 from .model import DECISION, RANDOM
-from .valuation import UTILITY, is_conditional, is_vacuous
+from .valuation import UTILITY, is_conditional
 
 
 class Finding(namedtuple("Finding", "severity condition message")):
@@ -121,7 +121,7 @@ class Network:
         return (x, y) in self.closure()
 
 
-def validate(network, joint_check=False):
+def validate(network):
     """Check well-definedness; returns a report with one finding per failure."""
     report = ValidationReport()
     net = network
@@ -210,22 +210,8 @@ def validate(network, joint_check=False):
                 "potential for %r does not marginalize to the vacuous belief function on its parents"
                 % p.head.name,
             )
-    if joint_check and net.potentials:
-        _joint_vacuity_check(net, report)
 
     return report
-
-
-def _joint_vacuity_check(net, report):
-    """Materialize the joint potential and check vacuity on its decision subset."""
-    from .calculus import combine_all, marginalize_belief
-
-    joint = combine_all([p.ballooned for p in net.potentials])
-    q = {n for n in joint.domain if net.by_name[n].kind == DECISION}
-    for name in sorted(joint.domain - q):
-        joint = marginalize_belief(joint, name)
-    if q and not is_vacuous(joint):
-        report.add("d", "joint potential is not vacuous on its decision variables %r" % sorted(q))
 
 
 def elimination_order(network):

@@ -21,7 +21,7 @@ import re
 from collections import namedtuple
 
 from .errors import MassError, ProblemFormatError
-from .model import Variable, all_configs, make_config
+from .model import Variable, iter_configs, make_config
 from .network import Network
 from .valuation import MASS_TOL, conditional, make_utility
 
@@ -88,10 +88,9 @@ class _Builder:
         self.by_name = {}
         self.arcs = []
         self.utilities = []
-        self.bpas = []  # (lineno, label, head, parents, entries)
+        self.potentials = []
         self.labels = set()
         self.lam = None
-        self.lam_seen = False
 
     def add_variable(self, kind, name, frame, lineno):
         if name in self.by_name:
@@ -142,25 +141,7 @@ def parse_problem(text):
             raise ProblemFormatError("unknown statement %r" % head, lineno)
     if not b.variables:
         raise ProblemFormatError("no variables declared", 1)
-
-    network = Network(b.variables, (), (), b.arcs)  # closure for the bpa check
-    potentials = []
-    for lineno, label, head_var, parents, tables in b.bpas:
-        if not parents:
-            preceding = [
-                d for d in network.decisions if network.before(d.name, head_var.name)
-            ]
-            if preceding:
-                raise ProblemFormatError(
-                    "unconditional bpa for %r is not allowed: decision %r precedes it"
-                    % (head_var.name, preceding[0].name),
-                    lineno,
-                )
-        try:
-            potentials.append(conditional(head_var, parents, tables, label=label))
-        except MassError as exc:
-            raise ProblemFormatError(str(exc), lineno)
-    network = Network(b.variables, b.utilities, potentials, b.arcs)
+    network = Network(b.variables, b.utilities, b.potentials, b.arcs)
     return ParsedProblem(network, b.lam)
 
 
@@ -202,12 +183,15 @@ def _parse_utility(b, stmt, lineno):
     order = sorted(range(len(names)), key=names.__getitem__)
     pick = operator.itemgetter(*order) if len(order) > 1 else tuple
     sorted_names = sorted(names)
-    lookup = {
+    entries = _entries(body)
+    size = math.prod(len(v.frame) for v in variables)
+    # A table too short to be complete never builds the frame product.
+    lookup = {} if size > len(entries) else {
         tokens: tuple(zip(sorted_names, pick(tokens)))
         for tokens in itertools.product(*(v.frame for v in variables))
     }
     table = {}
-    for entry in _entries(body):
+    for entry in entries:
         m2 = _UTILITY_ENTRY.fullmatch(entry)
         if not m2:
             raise ProblemFormatError("malformed utility entry %r" % entry, lineno)
@@ -221,14 +205,16 @@ def _parse_utility(b, stmt, lineno):
                 )
             for v, t in zip(variables, tokens):
                 b.need_value(v, t, lineno)
+            cfg = tuple(zip(sorted_names, pick(tokens)))
         if cfg in table:
             raise ProblemFormatError("duplicate utility entry %r" % entry, lineno)
         table[cfg] = _parse_number(m2.group(2), lineno, "utility value")
-    if len(table) < len(lookup):
-        missing = [cfg for cfg in lookup.values() if cfg not in table]
+    if len(table) < size:
+        lexical = iter_configs(names, {v.name: sorted(v.frame) for v in variables})
+        first = next(c for c in lexical if c not in table)
         raise ProblemFormatError(
             "utility %r is missing %d configuration(s), e.g. %r"
-            % (label, len(missing), min(missing)),
+            % (label, size - len(table), first),
             lineno,
         )
     b.utilities.append(make_utility(variables, table, label=label))
@@ -272,10 +258,7 @@ def _parse_bpa(b, stmt, lineno):
             raise ProblemFormatError("negative mass in bpa entry %r" % entry, lineno)
         tables.setdefault(cfg, []).append((subset, mass))
 
-    expected = all_configs(
-        [p.name for p in parents], {p.name: p.frame for p in parents}
-    )
-    for cfg in expected:
+    for cfg in iter_configs(parent_names, {p.name: p.frame for p in parents}):
         entries = tables.get(cfg)
         if entries is None:
             raise ProblemFormatError(
@@ -288,20 +271,22 @@ def _parse_bpa(b, stmt, lineno):
                 % (label, dict(cfg) or "{}", total),
                 lineno,
             )
-    b.bpas.append((lineno, label, head, parents, tables))
+    try:
+        b.potentials.append(conditional(head, parents, tables, label=label))
+    except MassError as exc:
+        raise ProblemFormatError(str(exc), lineno)
 
 
 def _parse_lambda(b, stmt, lineno):
     m = _LAMBDA.fullmatch(stmt)
     if not m:
         raise ProblemFormatError("malformed lambda statement", lineno)
-    if b.lam_seen:
+    if b.lam is not None:
         raise ProblemFormatError("duplicate lambda declaration", lineno)
     value = _parse_number(m.group(1), lineno, "lambda")
     if not 0.0 <= value <= 1.0:
         raise ProblemFormatError("lambda %g is outside [0, 1]" % value, lineno)
     b.lam = value
-    b.lam_seen = True
 
 
 def _entries(body):

@@ -21,7 +21,7 @@ from valnet import (
     solve,
     vacuous,
 )
-from valnet.calculus import marginalize, marginalize_belief
+from valnet.calculus import combine_all, marginalize, marginalize_belief
 from valnet.cli import EXIT_INVALID, EXIT_OK, main
 from valnet.valuation import is_vacuous, make_utility
 
@@ -296,6 +296,13 @@ def test_conditional_vacuity(network_suite):
             reduced = marginalize_belief(pot.ballooned, pot.head.name)
             assert is_vacuous(reduced)
             assert reduced.focals[0].mass == pytest.approx(1.0, abs=1e-9)
+        # So the joint potential is vacuous on the decisions, too.
+        if net.potentials:
+            joint = combine_all([p.ballooned for p in net.potentials])
+            for name in sorted(joint.domain):
+                if not net.by_name[name].is_decision:
+                    joint = marginalize_belief(joint, name)
+            assert is_vacuous(joint)
     assert seen > 0
 
 

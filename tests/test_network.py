@@ -40,9 +40,6 @@ class TestValidateWildcatter:
     def test_golden_network_is_well_defined(self, wildcatter):
         assert validate(wildcatter.network).ok
 
-    def test_joint_check_also_passes(self, wildcatter):
-        assert validate(wildcatter.network, joint_check=True).ok
-
     def test_missing_utility_breaks_decision_coverage(self, wildcatter):
         variables, utilities, potentials, arcs = wildcatter_parts(wildcatter)
         utilities = [u for u in utilities if u.label != "cost"]

@@ -1,9 +1,25 @@
+import itertools
 import random
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from valnet import ProblemFormatError, parse_problem, serialize, solve
+from valnet import (
+    ParsedProblem,
+    ProblemFormatError,
+    SolverError,
+    model,
+    oracle_solve,
+    parse_problem,
+    problemfile,
+    serialize,
+    solve,
+)
+from valnet.cli import EXIT_OK, main
 
+from conftest import WILDCATTER_PATH
 from netgen import random_network
 
 
@@ -33,26 +49,92 @@ class TestWildcatterFile:
         assert solve(again.network, again.lam).expected_value == pytest.approx(27500.0)
 
 
-def serializable(net):
-    """The file format refuses parentless bpas below a decision variable."""
-    for p in net.potentials:
-        if not p.parents and any(
-            net.before(d.name, p.head.name) for d in net.decisions
-        ):
-            return False
-    return True
-
-
 def test_generated_networks_round_trip():
     rng = random.Random(211)
-    done = 0
-    while done < 30:
+    for _ in range(30):
         net = random_network(rng)
-        if not serializable(net):
-            continue
-        done += 1
-        again = parse_problem(serialize(net)).network
-        assert again == net
+        assert parse_problem(serialize(net)).network == net
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32), st.none() | st.floats(0.0, 1.0))
+def test_serialize_then_parse_is_the_identity(seed, lam):
+    net = random_network(random.Random(seed), max_vars=6)
+    again = parse_problem(serialize(net, lam))
+    assert again.network == net
+    assert again.lam == lam
+
+
+WILDCATTER_TEXT = WILDCATTER_PATH.read_text()
+GRAMMAR_TOKENS = [
+    "decision", "random", "prec", "utility", "bpa", "lambda", "on", "->", "{", "}",
+    "|", ":", ";", ",", "=", "#", "\n", "T", "R", "D", "O", "x", "y", "t", "~t",
+    "0", "1", "0.5", "-1", "1e309", "nan",
+]
+
+
+def _mutate(text, edits):
+    for pos, cut, token in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + token + text[pos + cut:]
+    return text
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(GRAMMAR_TOKENS)).map(" ".join),
+    st.lists(
+        st.tuples(st.integers(0, 10 ** 4), st.integers(0, 20), st.sampled_from(GRAMMAR_TOKENS)),
+        min_size=1,
+        max_size=4,
+    ).map(lambda edits: _mutate(WILDCATTER_TEXT, edits)),
+))
+def test_parser_is_total(text):
+    try:
+        assert isinstance(parse_problem(text), ParsedProblem)
+    except ProblemFormatError:
+        pass
+    except SolverError as exc:
+        assert "ballooning" in str(exc)
+
+
+def _fail_past(monkeypatch, limit):
+    """Make enumerating more than ``limit`` configurations fail at once."""
+    def product(*pools):
+        for n, combo in enumerate(itertools.product(*pools)):
+            assert n < limit, "enumerated more configurations than the statement has rows"
+            yield combo
+
+    fake = types.SimpleNamespace(product=product)
+    monkeypatch.setattr(problemfile, "itertools", fake)
+    monkeypatch.setattr(model, "itertools", fake)
+
+
+def _variables(kind, prefix, count):
+    values = ", ".join("v%d" % j for j in reversed(range(10)))
+    return "".join("%s %s%d { %s }\n" % (kind, prefix, i, values) for i in range(count))
+
+
+@pytest.mark.parametrize("text, message", [
+    (
+        _variables("decision", "D", 6)
+        + "utility u on {D5, D4, D3, D2, D1, D0} { v0 v0 v0 v0 v0 v0 = 1 }\n",
+        "utility 'u' is missing 999999 configuration(s), e.g. "
+        "(('D0', 'v0'), ('D1', 'v0'), ('D2', 'v0'), ('D3', 'v0'), ('D4', 'v0'), ('D5', 'v1'))",
+    ),
+    (
+        _variables("random", "P", 5)
+        + "random R { x, y }\n"
+        + "bpa m on {R | P4, P3, P2, P1, P0} { v9 v9 v9 v9 v9 : {x} = 1 }\n",
+        "bpa 'm' has no entries for parent configuration "
+        "(('P0', 'v9'), ('P1', 'v9'), ('P2', 'v9'), ('P3', 'v9'), ('P4', 'v8'))",
+    ),
+], ids=["utility", "bpa"])
+def test_a_short_table_is_not_expanded(monkeypatch, text, message):
+    # The first missing row is the smallest configuration for a utility
+    # and the first in frame order for a bpa.
+    _fail_past(monkeypatch, 4)
+    assert str(parse_error(text)) == "line 7: " + message
 
 
 def test_comments_and_blank_lines_ignored():
@@ -200,15 +282,24 @@ class TestErrors:
         err = parse_error("decision D { a, b }\nbpa m on {D} { {a} = 1 }\n")
         assert "must be a random variable" in str(err)
 
-    def test_unconditional_bpa_after_a_decision(self):
-        err = parse_error(
+    def test_unconditional_bpa_after_a_decision(self, tmp_path, capsys):
+        # Allowed: such a bpa says that R does not depend on D.
+        text = (
             "decision D { a, b }\n"
             "random R { x, y }\n"
             "prec D -> R\n"
-            "bpa m on {R} { {x} = 1 }\n"
+            "bpa m on {R} { {x} = 0.6; {x, y} = 0.4 }\n"
+            "utility u on {D, R} { a x = 10; a y = -5; b x = 2; b y = 3 }\n"
         )
-        assert err.line == 4
-        assert "unconditional" in str(err)
+        net = parse_problem(text).network
+        path = tmp_path / "problem.vn"
+        path.write_text(text)
+        assert main(["check", str(path)]) == EXIT_OK
+        assert "well-defined" in capsys.readouterr().out
+        for lam in (0.0, 0.3, 1.0):
+            assert solve(net, lam).expected_value == pytest.approx(
+                oracle_solve(net, lam).expected_value, rel=1e-9
+            )
 
     def test_empty_focal(self):
         err = parse_error("random R { x, y }\nbpa m on {R} { {} = 1 }\n")

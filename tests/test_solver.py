@@ -309,6 +309,17 @@ class TestGuards:
         with pytest.raises(ValnetError):
             solve(wildcatter.network, None)
 
+    @pytest.mark.parametrize("call, value", [
+        (solve, "x"),
+        (lambda net, lam: lambda_sweep(net, [lam]), "x"),
+        (solve, [0.5]),
+        (solve, 10 ** 400),
+    ], ids=["solve-text", "sweep-text", "solve-list", "solve-huge-int"])
+    def test_lambda_that_is_not_a_number(self, wildcatter, call, value):
+        with pytest.raises(ValnetError) as exc:
+            call(wildcatter.network, value)
+        assert str(exc.value) == "weighting factor %r is not a number in [0, 1]" % (value,)
+
     def test_oracle_refuses_huge_joint_frames(self):
         variables = [decision("D%02d" % i, ("a", "b")) for i in range(21)]
         u = make_utility(
