@@ -13,6 +13,8 @@ from valnet import (
     random_var,
     validate,
 )
+from valnet.calculus import combine_all, marginalize_belief
+from valnet.valuation import is_vacuous
 
 from netgen import random_network
 
@@ -39,6 +41,15 @@ def wildcatter_parts(wildcatter):
 class TestValidateWildcatter:
     def test_golden_network_is_well_defined(self, wildcatter):
         assert validate(wildcatter.network).ok
+
+    def test_joint_check_also_passes(self, wildcatter):
+        # The joint potential of a valid network is vacuous on its decisions.
+        net = wildcatter.network
+        joint = combine_all([p.ballooned for p in net.potentials])
+        for name in sorted(joint.domain):
+            if not net.by_name[name].is_decision:
+                joint = marginalize_belief(joint, name)
+        assert is_vacuous(joint)
 
     def test_missing_utility_breaks_decision_coverage(self, wildcatter):
         variables, utilities, potentials, arcs = wildcatter_parts(wildcatter)
