@@ -34,7 +34,7 @@ def check_lambda(lam):
         raise ValnetError("weighting factor %r is not a number in [0, 1]" % (lam,))
     if not 0.0 <= lam <= 1.0:
         raise ValnetError("weighting factor %r is outside [0, 1]" % lam)
-    return lam
+    return lam + 0.0  # -0.0 becomes 0.0
 
 
 class SolutionTable(

@@ -6,6 +6,7 @@ import argparse
 import functools
 import sys
 
+from .calculus import check_lambda
 from .errors import ProblemFormatError, SolverError, ValnetError
 from .model import DIAMOND, project_config
 from .network import validate
@@ -20,12 +21,9 @@ EXIT_SOLVER = 3
 
 def _lambda_arg(text):
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("not a number: %r" % text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("lambda %g is outside [0, 1]" % value)
-    return value
+        return check_lambda(text)
+    except ValnetError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 @functools.cache

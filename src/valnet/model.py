@@ -34,9 +34,9 @@ class Variable(namedtuple("Variable", "name kind frame")):
             raise NetworkError("variable %r: kind must be %r or %r" % (name, DECISION, RANDOM))
         frame = tuple(frame)
         if not frame:
-            raise NetworkError("variable %r: frame is empty" % name)
+            raise NetworkError("variable %r has an empty frame" % name)
         if len(set(frame)) != len(frame):
-            raise NetworkError("variable %r: frame labels are not unique" % name)
+            raise NetworkError("variable %r repeats a frame value" % name)
         return super().__new__(cls, name, kind, frame)
 
     # ``_replace`` builds through ``_make``, which would skip ``__new__``.

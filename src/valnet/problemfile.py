@@ -20,10 +20,11 @@ import operator
 import re
 from collections import namedtuple
 
-from .errors import MassError, ProblemFormatError
-from .model import Variable, iter_configs, make_config
+from .calculus import check_lambda
+from .errors import ProblemFormatError, SolverError, ValnetError
+from .model import Variable, make_config
 from .network import Network
-from .valuation import MASS_TOL, conditional, make_utility
+from .valuation import conditional, make_utility
 
 _NAME = r"[A-Za-z_]\w*"
 _TOKEN = r"[^\s{},;:=|#]+"
@@ -92,17 +93,6 @@ class _Builder:
         self.labels = set()
         self.lam = None
 
-    def add_variable(self, kind, name, frame, lineno):
-        if name in self.by_name:
-            raise ProblemFormatError("duplicate declaration of variable %r" % name, lineno)
-        if not frame:
-            raise ProblemFormatError("variable %r has an empty frame" % name, lineno)
-        if len(set(frame)) != len(frame):
-            raise ProblemFormatError("variable %r repeats a frame value" % name, lineno)
-        var = Variable(name, kind, tuple(frame))
-        self.variables.append(var)
-        self.by_name[name] = var
-
     def need_var(self, name, lineno):
         var = self.by_name.get(name)
         if var is None:
@@ -123,22 +113,32 @@ class _Builder:
 
 
 def parse_problem(text):
-    """Parse problem text into a network plus an optional weighting factor."""
+    """Parse problem text into a network plus an optional weighting factor.
+
+    The parser checks tokens; the library constructors judge what they
+    build, and their ``ValnetError`` gets the statement's line number here.
+    The ballooning limit's ``SolverError`` passes through as it is.
+    """
     b = _Builder()
     for lineno, stmt in _statements(text):
         head = stmt.split(None, 1)[0]
-        if head in ("decision", "random"):
-            _parse_variable(b, head, stmt, lineno)
-        elif head == "prec":
-            _parse_prec(b, stmt, lineno)
-        elif head == "utility":
-            _parse_utility(b, stmt, lineno)
-        elif head == "bpa":
-            _parse_bpa(b, stmt, lineno)
-        elif head == "lambda":
-            _parse_lambda(b, stmt, lineno)
-        else:
-            raise ProblemFormatError("unknown statement %r" % head, lineno)
+        try:
+            if head in ("decision", "random"):
+                _parse_variable(b, head, stmt, lineno)
+            elif head == "prec":
+                _parse_prec(b, stmt, lineno)
+            elif head == "utility":
+                _parse_utility(b, stmt, lineno)
+            elif head == "bpa":
+                _parse_bpa(b, stmt, lineno)
+            elif head == "lambda":
+                _parse_lambda(b, stmt, lineno)
+            else:
+                raise ProblemFormatError("unknown statement %r" % head, lineno)
+        except (ProblemFormatError, SolverError):
+            raise
+        except ValnetError as exc:
+            raise ProblemFormatError(str(exc), lineno)
     if not b.variables:
         raise ProblemFormatError("no variables declared", 1)
     network = Network(b.variables, b.utilities, b.potentials, b.arcs)
@@ -155,7 +155,10 @@ def _parse_variable(b, kind, stmt, lineno):
             raise ProblemFormatError(
                 "frame value %r of variable %r is not a single token" % (label, name), lineno
             )
-    b.add_variable(kind, name, frame, lineno)
+    if name in b.by_name:
+        raise ProblemFormatError("duplicate declaration of variable %r" % name, lineno)
+    b.by_name[name] = var = Variable(name, kind, frame)
+    b.variables.append(var)
 
 
 def _parse_prec(b, stmt, lineno):
@@ -209,14 +212,6 @@ def _parse_utility(b, stmt, lineno):
         if cfg in table:
             raise ProblemFormatError("duplicate utility entry %r" % entry, lineno)
         table[cfg] = _parse_number(m2.group(2), lineno, "utility value")
-    if len(table) < size:
-        lexical = iter_configs(names, {v.name: sorted(v.frame) for v in variables})
-        first = next(c for c in lexical if c not in table)
-        raise ProblemFormatError(
-            "utility %r is missing %d configuration(s), e.g. %r"
-            % (label, size - len(table), first),
-            lineno,
-        )
     b.utilities.append(make_utility(variables, table, label=label))
 
 
@@ -227,13 +222,8 @@ def _parse_bpa(b, stmt, lineno):
     label, head_name, parent_body, body = m.groups()
     b.claim_label(label, lineno)
     head = b.need_var(head_name, lineno)
-    if head.kind != "random":
-        raise ProblemFormatError("bpa head %r must be a random variable" % head_name, lineno)
     parent_names = _split_list(parent_body or "")
     parents = [b.need_var(n, lineno) for n in parent_names]
-    if head_name in parent_names or len(set(parent_names)) != len(parent_names):
-        raise ProblemFormatError("bad parent list for bpa %r" % label, lineno)
-
     tables = {}
     for entry in _entries(body):
         m2 = _BPA_ENTRY.fullmatch(entry)
@@ -251,30 +241,9 @@ def _parse_bpa(b, stmt, lineno):
         subset = frozenset(
             b.need_value(head, t, lineno) for t in _split_list(m2.group(2))
         )
-        if not subset:
-            raise ProblemFormatError("empty focal element in bpa entry %r" % entry, lineno)
         mass = _parse_number(m2.group(3), lineno, "mass")
-        if mass < 0:
-            raise ProblemFormatError("negative mass in bpa entry %r" % entry, lineno)
         tables.setdefault(cfg, []).append((subset, mass))
-
-    for cfg in iter_configs(parent_names, {p.name: p.frame for p in parents}):
-        entries = tables.get(cfg)
-        if entries is None:
-            raise ProblemFormatError(
-                "bpa %r has no entries for parent configuration %r" % (label, cfg), lineno
-            )
-        total = sum(mass for _, mass in entries)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ProblemFormatError(
-                "bpa %r: masses for parent %r sum to %g, expected 1"
-                % (label, dict(cfg) or "{}", total),
-                lineno,
-            )
-    try:
-        b.potentials.append(conditional(head, parents, tables, label=label))
-    except MassError as exc:
-        raise ProblemFormatError(str(exc), lineno)
+    b.potentials.append(conditional(head, parents, tables, label=label))
 
 
 def _parse_lambda(b, stmt, lineno):
@@ -283,10 +252,7 @@ def _parse_lambda(b, stmt, lineno):
         raise ProblemFormatError("malformed lambda statement", lineno)
     if b.lam is not None:
         raise ProblemFormatError("duplicate lambda declaration", lineno)
-    value = _parse_number(m.group(1), lineno, "lambda")
-    if not 0.0 <= value <= 1.0:
-        raise ProblemFormatError("lambda %g is outside [0, 1]" % value, lineno)
-    b.lam = value
+    b.lam = check_lambda(_parse_number(m.group(1), lineno, "lambda"))
 
 
 def _entries(body):

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, MassError, NetworkError, SolverError, UtilityError
-from .model import Variable, all_configs, concat_configs, make_config
+from .model import DIAMOND, Variable, all_configs, concat_configs, iter_configs, make_config
 
 BELIEF = "belief"
 UTILITY = "utility"
@@ -96,16 +96,22 @@ def canonical_focals(items, kind):
     return tuple(focals)
 
 
-def _check_bpa_masses(assignments, where=""):
+def _mass_error(label, cfg, message):
+    where = "bpa %r, parent %r" % (label, dict(cfg)) if cfg else "bpa %r" % label
+    return MassError("%s: %s" % (where, message))
+
+
+def _check_bpa_masses(assignments, label, cfg=DIAMOND):
+    """Masses must be finite and nonnegative, and sum to one."""
     total = 0.0
-    for support, mass in assignments:
+    for _, mass in assignments:
         if not math.isfinite(mass):
-            raise MassError("non-finite mass %r%s" % (mass, where))
+            raise _mass_error(label, cfg, "non-finite mass %r" % mass)
         if mass < 0:
-            raise MassError("negative mass %r%s" % (mass, where))
+            raise _mass_error(label, cfg, "negative mass %r" % mass)
         total += mass
     if abs(total - 1.0) > MASS_TOL:
-        raise MassError("masses sum to %r, expected 1%s" % (total, where))
+        raise _mass_error(label, cfg, "masses sum to %.12g, expected 1" % total)
 
 
 def _support_over(configs, domain):
@@ -133,7 +139,7 @@ def make_bpa(variables, assignments, label=""):
         raise NetworkError("a bpa needs at least one variable")
     frames = frames_of(variables)
     assignments = [(_support_over(configs, domain), mass) for configs, mass in assignments]
-    _check_bpa_masses(assignments)
+    _check_bpa_masses(assignments, label)
     items = [
         (support, {x: float(mass) for x in support})
         for support, mass in assignments
@@ -153,19 +159,32 @@ def make_utility(variables, table, label=""):
     if not domain:
         raise NetworkError("a utility valuation needs at least one variable")
     frames = frames_of(variables)
-    expected = set(all_configs(domain, frames))
-    given = set(table)
-    if given != expected:
-        missing = sorted(expected - given)
-        extra = sorted(given - expected)
-        raise DomainMismatchError(
-            "utility table mismatch (missing %r, extra %r)" % (missing, extra)
-        )
+    size = math.prod(len(f) for f in frames.values())
+    # Counted first, so that a short table never builds the frame product.
+    if len(table) < size or table.keys() != (expected := set(all_configs(domain, frames))):
+        raise _coverage_error(label, sorted(domain), frames, table, size)
     values = {x: float(v) for x, v in table.items()}
     bad = sorted(x for x, v in values.items() if not math.isfinite(v))
     if bad:
         raise UtilityError("utility values are not finite at %r" % (bad,))
     return Valuation(domain, frames, UTILITY, (Focal(frozenset(expected), values),), label)
+
+
+def _coverage_error(label, names, frames, table, size):
+    """Name a row outside the frame product, or else the smallest missing one."""
+    frame_sets = {n: set(frames[n]) for n in names}
+    for x in table:
+        try:
+            inside = [n for n, _ in x] == names and all(v in frame_sets[n] for n, v in x)
+        except (TypeError, ValueError):  # not a tuple of pairs
+            inside = False
+        if not inside:
+            return DomainMismatchError("utility %r has a row %r outside its frame" % (label, x))
+    lexical = iter_configs(names, {n: sorted(frames[n]) for n in names})
+    first = next(x for x in lexical if x not in table)
+    return DomainMismatchError(
+        "utility %r is missing %d configuration(s), e.g. %r" % (label, size - len(table), first)
+    )
 
 
 def vacuous(variables, label=""):
@@ -206,29 +225,40 @@ def balloon(head, parents, tables, label=""):
     its mass the product of the picked masses.  More than ``BALLOON_LIMIT``
     such picks raise ``SolverError`` before any is made.
     """
-    parents = list(parents)
-    parent_names = frozenset(p.name for p in parents)
-    if head.name in parent_names:
-        raise NetworkError("head %r cannot be its own parent" % head.name)
+    return _balloon(head, tuple(parents), tables, label)[1]
+
+
+def _balloon(head, parents, tables, label):
+    """Judge the tables once; return them normalized, and the joint bpa."""
+    names = [p.name for p in parents]
+    if head.name in names or len(set(names)) != len(names):
+        raise NetworkError("bad parent list for bpa %r" % label)
+    normalized = _parent_tables(parents, tables)
+    parent_names = frozenset(names)
     frames = frames_of(parents)
     frames[head.name] = tuple(head.frame)
-    parent_configs = all_configs(parent_names, frames)
-    normalized = _parent_tables(parents, tables)
-    missing = [c for c in parent_configs if c not in normalized]
-    if missing or len(normalized) != len(parent_configs):
+    count = math.prod(len(p.frame) for p in parents)
+    # Counted first, so that a short table never builds the frame product.
+    enumerate_configs = all_configs if len(normalized) == count else iter_configs
+    parent_configs = enumerate_configs(parent_names, frames)
+    missing = next((c for c in parent_configs if c not in normalized), None)
+    if missing is not None:
         raise DomainMismatchError(
-            "conditional tables must cover every parent configuration (missing %r)"
-            % (missing,)
+            "bpa %r has no entries for parent configuration %r" % (label, missing)
         )
+    if len(normalized) != count:
+        raise DomainMismatchError("bpa %r has a table outside the parents' frames" % label)
     head_frame = set(head.frame)
     for cfg, entries in normalized.items():
         for subset, _ in entries:
-            if not subset or not subset <= head_frame:
-                raise MassError(
-                    "focal %r is not a nonempty subset of the frame of %r"
-                    % (sorted(subset), head.name)
+            if not subset:
+                raise _mass_error(label, cfg, "empty focal element")
+            if not subset <= head_frame:
+                raise _mass_error(
+                    label, cfg,
+                    "focal %r is not a subset of the frame of %r" % (sorted(subset), head.name),
                 )
-        _check_bpa_masses(entries, " in table for parent %r" % (cfg,))
+        _check_bpa_masses(entries, label, cfg)
 
     per_parent = [normalized[c] for c in parent_configs]
     combinations = math.prod(len(entries) for entries in per_parent)
@@ -253,7 +283,7 @@ def balloon(head, parents, tables, label=""):
         support = frozenset(members)
         items.append((support, {x: mass for x in support}))
     focals = canonical_focals(items, BELIEF)
-    return Valuation(domain, frames, BELIEF, focals, label)
+    return normalized, Valuation(domain, frames, BELIEF, focals, label)
 
 
 def is_conditional(v, head_name, tol=MASS_TOL):
@@ -305,8 +335,7 @@ def conditional(head, parents, tables, label=""):
     """Build a conditional potential, normalizing table keys to configurations."""
     parents = tuple(parents)
     if head.kind != "random":
-        raise NetworkError("conditional potential head %r must be random" % head.name)
-    normalized = _parent_tables(parents, tables)
-    ballooned = balloon(head, parents, normalized, label=label)
+        raise NetworkError("bpa head %r must be a random variable" % head.name)
+    normalized, ballooned = _balloon(head, parents, tables, label)
     return ConditionalPotential(head, parents, normalized, ballooned, label)
 

@@ -1,8 +1,12 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from valnet import parse_problem
+
+# A longer run of the hypothesis properties: pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=5000)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WILDCATTER_PATH = ROOT / "problems" / "wildcatter.vn"

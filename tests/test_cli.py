@@ -196,6 +196,25 @@ class TestSweep:
         assert code == EXIT_PARSE
 
 
+    def test_bad_grid_names_the_value(self, capsys):
+        code, out, err = run(capsys, "sweep", str(WILDCATTER_PATH), "--lambdas", "0,2")
+        assert (code, out, err) == (EXIT_PARSE, "", "error: weighting factor 2.0 is outside [0, 1]\n")
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    (["solve", "--lambda", "-0"], None, "lambda 0"),
+    (["solve"], "lambda = -0", "lambda 0"),
+    (["sweep", "--machine", "--lambdas=-0,1"], None, "sweep\t0.0\t5000.0\t"),
+], ids=["flag", "file", "sweep"])
+def test_negative_zero_lambda_is_zero(capsys, tmp_path, wildcatter_text, argv, text, line):
+    path = WILDCATTER_PATH if text is None else write(
+        tmp_path, wildcatter_text.replace("lambda = 0.5", text)
+    )
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1 if argv[0] == "sweep" else 0].startswith(line)
+
+
 class TestMarginal:
     def test_propagates(self, capsys, tmp_path):
         path = write(tmp_path, PROPAGATION)

@@ -10,6 +10,10 @@ from valnet import (
     ParsedProblem,
     ProblemFormatError,
     SolverError,
+    ValnetError,
+    conditional,
+    make_config,
+    make_utility,
     model,
     oracle_solve,
     parse_problem,
@@ -17,6 +21,7 @@ from valnet import (
     serialize,
     solve,
 )
+from valnet.calculus import check_lambda
 from valnet.cli import EXIT_OK, main
 
 from conftest import WILDCATTER_PATH
@@ -135,6 +140,48 @@ def test_a_short_table_is_not_expanded(monkeypatch, text, message):
     # and the first in frame order for a bpa.
     _fail_past(monkeypatch, 4)
     assert str(parse_error(text)) == "line 7: " + message
+
+
+A = model.random_var("A", ("a", "b"))
+D = model.decision("D", ("a", "b"))
+R = model.random_var("R", ("x", "y", "z"))
+DECLARED = "random A { a, b }\ndecision D { a, b }\nrandom R { x, y, z }\n"
+
+
+@pytest.mark.parametrize("statement, build", [
+    ("decision E { }", lambda: model.Variable("E", "decision", ())),
+    ("random E { x, x }", lambda: model.Variable("E", "random", ("x", "x"))),
+    (
+        "utility u on {R, D} { x a = 1; y b = 2 }",
+        lambda: make_utility(
+            [R, D], {make_config({"R": "x", "D": "a"}): 1, make_config({"R": "y", "D": "b"}): 2}, "u"
+        ),
+    ),
+    ("bpa m on {D} { {a} = 1 }", lambda: conditional(D, [], {(): [({"a"}, 1)]}, "m")),
+    ("bpa m on {R | R} { x : {x} = 1 }", lambda: conditional(R, [R], {"x": [({"x"}, 1)]}, "m")),
+    (
+        "bpa m on {R | A, A} { a a : {x} = 1; b b : {y} = 1 }",
+        lambda: conditional(R, [A, A], {("a", "a"): [({"x"}, 1)], ("b", "b"): [({"y"}, 1)]}, "m"),
+    ),
+    ("bpa m on {R | A} { b : {x} = 1 }", lambda: conditional(R, [A], {"b": [({"x"}, 1)]}, "m")),
+    ("bpa m on {R} { {} = 1 }", lambda: conditional(R, [], {(): [((), 1)]}, "m")),
+    (
+        "bpa m on {R} { {x} = -0.5; {y} = 1.5 }",
+        lambda: conditional(R, [], {(): [({"x"}, -0.5), ({"y"}, 1.5)]}, "m"),
+    ),
+    (
+        "bpa m on {R | A} { a : {x} = 0.5; b : {y} = 1 }",
+        lambda: conditional(R, [A], {"a": [({"x"}, 0.5)], "b": [({"y"}, 1)]}, "m"),
+    ),
+    ("lambda = 1.5", lambda: check_lambda(1.5)),
+], ids=[
+    "empty-frame", "repeated-frame-value", "utility-coverage", "bpa-head", "head-as-parent",
+    "repeated-parent", "parent-coverage", "empty-focal", "negative-mass", "mass-sum", "lambda-range",
+])
+def test_the_library_judges_and_the_parser_adds_the_line(statement, build):
+    with pytest.raises(ValnetError) as judged:
+        build()
+    assert str(parse_error(DECLARED + statement)) == "line 4: %s" % judged.value
 
 
 def test_comments_and_blank_lines_ignored():

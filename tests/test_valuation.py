@@ -7,6 +7,7 @@ from valnet import (
     DomainMismatchError,
     KindError,
     MassError,
+    NetworkError,
     SolverError,
     UtilityError,
     balloon,
@@ -282,6 +283,15 @@ class TestBalloon:
         for build in (balloon, conditional):
             with pytest.raises(DomainMismatchError, match="does not match parents"):
                 build(O, [T], tables)
+
+    @pytest.mark.parametrize("parents", [[T, T], [T, R]], ids=["repeated", "head"])
+    def test_bad_parent_list(self, parents):
+        # A repeated parent once built a potential that serialized to a
+        # file the parser rejected.
+        tables = {("t", "t"): [({"re"}, 1.0)], ("~t", "~t"): [({"nr"}, 1.0)]}
+        for build in (balloon, conditional):
+            with pytest.raises(NetworkError, match="bad parent list for bpa 'b'"):
+                build(R, parents, tables, label="b")
 
     def test_combination_limit(self, monkeypatch):
         # RESULT_TABLES picks 3 x 1 focals, OIL_TABLES 1 x 1 x 1 x 3.
