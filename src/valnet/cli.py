@@ -7,7 +7,7 @@ import functools
 import sys
 
 from .calculus import check_lambda
-from .errors import ProblemFormatError, SolverError, ValnetError
+from .errors import ProblemFormatError, ValnetError
 from .model import DIAMOND, project_config
 from .network import validate
 from .problemfile import parse_problem
@@ -37,22 +37,29 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="validate a problem file")
     p_check.add_argument("file")
+    p_check.set_defaults(run=cmd_check)
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("file")
     p_solve.add_argument("--lambda", dest="lam", type=_lambda_arg, default=None)
     p_solve.add_argument("--trace", action="store_true")
     p_solve.add_argument("--machine", action="store_true")
+    p_solve.set_defaults(run=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="solve over a grid of weighting factors")
     p_sweep.add_argument("file")
-    p_sweep.add_argument("--lambdas", required=True)
+    p_sweep.add_argument(
+        "--lambdas", required=True,
+        help="comma-separated weighting factors; write a grid that starts with '-' as --lambdas=-0,1",
+    )
     p_sweep.add_argument("--machine", action="store_true")
+    p_sweep.set_defaults(run=cmd_sweep)
 
     p_marg = sub.add_parser("marginal", help="marginal bpa of one variable")
     p_marg.add_argument("file")
     p_marg.add_argument("--target", required=True)
     p_marg.add_argument("--machine", action="store_true")
+    p_marg.set_defaults(run=cmd_marginal)
     return parser
 
 
@@ -65,21 +72,13 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     try:
-        problem = parse_problem(text)
+        return args.run(parse_problem(text), args)
     except ProblemFormatError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except SolverError as exc:
+    except ValnetError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
-
-    if args.command == "check":
-        return cmd_check(problem)
-    if args.command == "solve":
-        return cmd_solve(problem, args)
-    if args.command == "sweep":
-        return cmd_sweep(problem, args)
-    return cmd_marginal(problem, args)
 
 
 def _report_invalid(network):
@@ -90,7 +89,7 @@ def _report_invalid(network):
     return not report.ok
 
 
-def cmd_check(problem):
+def cmd_check(problem, args):
     if _report_invalid(problem.network):
         return EXIT_INVALID
     print("ok: network is well-defined")
@@ -159,15 +158,11 @@ def cmd_solve(problem, args):
         return EXIT_PARSE
     if _report_invalid(network):
         return EXIT_INVALID
-    try:
-        result = solve(network, lam, trace=args.trace, checked=False)
-    except ValnetError as exc:
-        print("solver error: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
+    result = solve(network, lam, trace=args.trace)
 
     if args.trace and result.trace:
-        for step in result.trace:
-            _print_step(network, step)
+        for index, step in enumerate(result.trace, 1):
+            _print_step(network, index, step)
             print()
     if args.machine:
         print("# record\tname\tcontext\tvalue")
@@ -195,12 +190,12 @@ def cmd_solve(problem, args):
     return EXIT_OK
 
 
-def _print_step(network, step):
+def _print_step(network, index, step):
     decl = _decl_order(network)
     print(
         "step %d: eliminate %s (%s), domain {%s}"
         % (
-            step.index,
+            index,
             step.variable,
             step.kind,
             ", ".join(n for n in decl if n in step.combined.domain),
@@ -265,11 +260,7 @@ def cmd_sweep(problem, args):
         print("note: duplicate lambda values removed", file=sys.stderr)
     if _report_invalid(network):
         return EXIT_INVALID
-    try:
-        results = lambda_sweep(network, grid, checked=False)
-    except ValnetError as exc:
-        print("solver error: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
+    results = lambda_sweep(network, grid)
     if args.machine:
         print("# record\tlambda\tvalue\tstrategy")
         for r in results:
@@ -295,11 +286,7 @@ def cmd_marginal(problem, args):
     # but structural findings (A1, b, d) still apply.
     if _report_invalid(network):
         return EXIT_INVALID
-    try:
-        marginal = propagate_marginal(network, args.target, checked=False)
-    except ValnetError as exc:
-        print("solver error: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
+    marginal = propagate_marginal(network, args.target)
     decl = _decl_order(network)
     if args.machine:
         print("# record\tmass\tfocal")

@@ -44,7 +44,6 @@ class SolverError(ValnetError):
 class ProblemFormatError(ValnetError):
     """Problem file could not be parsed."""
 
-    def __init__(self, message, line=1, column=1):
+    def __init__(self, message, line):
         self.line = line
-        self.column = column
         super().__init__("line %d: %s" % (line, message))

@@ -17,25 +17,19 @@ from .model import DECISION, RANDOM
 from .valuation import UTILITY, is_conditional
 
 
-class Finding(namedtuple("Finding", "severity condition message")):
+class Finding(namedtuple("Finding", "condition message")):
     __slots__ = ()
 
     def line(self):
-        return "%s %s %s" % (self.severity, self.condition, self.message)
+        return "error %s %s" % (self.condition, self.message)
 
 
 class ValidationReport(namedtuple("ValidationReport", "findings")):
     __slots__ = ()
 
-    def __new__(cls, findings=None):
-        return super().__new__(cls, [] if findings is None else findings)
-
     @property
     def ok(self):
         return not self.findings
-
-    def add(self, condition, message, severity="error"):
-        self.findings.append(Finding(severity, condition, message))
 
     def lines(self):
         return [f.line() for f in self.findings]
@@ -78,6 +72,7 @@ class Network:
                 raise NetworkError("potential over undeclared variables %r" % sorted(p.domain - declared))
 
         self._closure = None
+        self._report = None
 
     def __eq__(self, other):
         if not isinstance(other, Network):
@@ -122,34 +117,38 @@ class Network:
 
 
 def validate(network):
-    """Check well-definedness; returns a report with one finding per failure."""
-    report = ValidationReport()
-    net = network
+    """Check well-definedness once per network; the cached report has one finding per failure."""
+    if network._report is None:
+        network._report = ValidationReport(tuple(_findings(network)))
+    return network._report
+
+
+def _findings(net):
     closure = net.closure()
 
     covered = set().union(*(u.domain for u in net.utilities)) if net.utilities else set()
     for d in net.decisions:
         if d.name not in covered:
-            report.add("a", "decision variable %r appears in no utility valuation" % d.name)
+            yield Finding("a", "decision variable %r appears in no utility valuation" % d.name)
     pot_cover = set().union(*(p.domain for p in net.potentials)) if net.potentials else set()
     for r in net.randoms:
         if r.name not in pot_cover:
-            report.add("b", "random variable %r appears in no potential" % r.name)
+            yield Finding("b", "random variable %r appears in no potential" % r.name)
 
     cyclic = sorted(x for x, y in closure if x == y)
     if cyclic:
-        report.add("p1", "precedence closure is not irreflexive (cycle through %s)" % ", ".join(cyclic))
+        yield Finding("p1", "precedence closure is not irreflexive (cycle through %s)" % ", ".join(cyclic))
 
     for d in net.decisions:
         for r in net.randoms:
             if not net.before(d.name, r.name) and not net.before(r.name, d.name):
-                report.add("p2", "decision %r and random %r are incomparable" % (d.name, r.name))
+                yield Finding("p2", "decision %r and random %r are incomparable" % (d.name, r.name))
 
     for p in net.potentials:
         head = p.head.name
         for d in net.decisions:
             if d.name in p.domain and not net.before(d.name, head):
-                report.add(
+                yield Finding(
                     "p3",
                     "conditional potential for %r contains decision %r which does not precede it"
                     % (head, d.name),
@@ -159,7 +158,7 @@ def validate(network):
         randoms_in = [v for v in p.domain if net.by_name[v].kind == RANDOM]
         for d in net.decisions:
             if d.name in p.domain and not any(net.before(d.name, r) for r in randoms_in):
-                report.add(
+                yield Finding(
                     "p4",
                     "potential on %r contains decision %r preceding none of its random variables"
                     % (sorted(p.domain), d.name),
@@ -175,7 +174,7 @@ def validate(network):
                     for d in net.decisions
                 )
                 if not between:
-                    report.add(
+                    yield Finding(
                         "p5",
                         "no decision variable lies strictly between randoms %r and %r" % (r1, r2),
                     )
@@ -186,7 +185,7 @@ def validate(network):
     for r in net.randoms:
         owned = heads.get(r.name, [])
         if len(owned) != 1:
-            report.add(
+            yield Finding(
                 "A1",
                 "random variable %r has %d conditional potentials, expected exactly one"
                 % (r.name, len(owned)),
@@ -194,24 +193,22 @@ def validate(network):
         for p in owned:
             for parent in p.parents:
                 if not net.before(parent.name, r.name):
-                    report.add(
+                    yield Finding(
                         "A1",
                         "parent %r of the potential for %r does not precede it"
                         % (parent.name, r.name),
                     )
     for name in heads:
         if net.by_name[name].kind != RANDOM:
-            report.add("A1", "potential head %r is not a random variable" % name)
+            yield Finding("A1", "potential head %r is not a random variable" % name)
 
     for p in net.potentials:
         if not is_conditional(p.ballooned, p.head.name):
-            report.add(
+            yield Finding(
                 "d",
                 "potential for %r does not marginalize to the vacuous belief function on its parents"
                 % p.head.name,
             )
-
-    return report
 
 
 def elimination_order(network):

@@ -177,11 +177,7 @@ def _parse_utility(b, stmt, lineno):
     label, var_body, body = m.groups()
     b.claim_label(label, lineno)
     names = _split_list(var_body)
-    if not names:
-        raise ProblemFormatError("utility %r names no variables" % label, lineno)
     variables = [b.need_var(n, lineno) for n in names]
-    if len(set(names)) != len(names):
-        raise ProblemFormatError("utility %r repeats a variable" % label, lineno)
     # Value tokens in the statement's variable order -> configuration.
     order = sorted(range(len(names)), key=names.__getitem__)
     pick = operator.itemgetter(*order) if len(order) > 1 else tuple

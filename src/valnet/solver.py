@@ -17,7 +17,7 @@ from .calculus import (
     combine_all,
     combine_all_traced,
     marginalize,
-    marginalize_belief,
+    marginalize_belief,  # not called here; the benchmark's tracer wraps this name
 )
 from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError
 from .model import DIAMOND, DECISION, RANDOM, all_configs, make_config
@@ -29,11 +29,11 @@ ORACLE_GUARD = 10 ** 6
 class FusionStep(
     namedtuple(
         "FusionStep",
-        "index variable kind inputs combined provenance result contributions solution",
+        "variable kind inputs combined provenance result contributions solution",
         defaults=(None,),
     )
 ):
-    """One elimination step; ``solve(..., trace=True)`` keeps them numbered from 1."""
+    """One elimination step; ``solve(..., trace=True)`` keeps them in elimination order."""
 
     __slots__ = ()
 
@@ -82,8 +82,7 @@ def fuse(pool, variable, lam=None, policy=None):
     """One fusion step over a pool of valuations.
 
     Returns (new pool, FusionStep).  The step's ``solution`` is the solution
-    table recorded for an unforced decision variable, else None; its
-    ``index`` is 0, and ``solve`` numbers the steps it keeps.
+    table recorded for an unforced decision variable, else None.
     """
     touched = [v for v in pool if variable.name in v.domain]
     untouched = [v for v in pool if variable.name not in v.domain]
@@ -93,7 +92,6 @@ def fuse(pool, variable, lam=None, policy=None):
     result, table, contributions = marginalize(combined, variable, lam=lam, policy=policy)
     result = result._replace(label="elim_%s" % variable.name)
     step = FusionStep(
-        index=0,
         variable=variable.name,
         kind=variable.kind,
         inputs=tuple(touched),
@@ -123,20 +121,19 @@ def _check(network):
         raise NotWellDefinedError(report)
 
 
-def solve(network, lam, trace=False, policy_tables=None, checked=True):
+def solve(network, lam, trace=False, policy_tables=None):
     """Run the fusion algorithm; returns expected value, tables and strategy."""
     lam = check_lambda(lam)
-    if checked:
-        _check(network)
+    _check(network)
     order = elimination_order(network)
     pool = _initial_pool(network)
     solutions = {}
     steps = []
-    for i, name in enumerate(order):
+    for name in order:
         policy = (policy_tables or {}).get(name)
         pool, step = fuse(pool, network.by_name[name], lam=lam, policy=policy)
         if trace:
-            steps.append(step._replace(index=i + 1))
+            steps.append(step)
         if step.solution is not None:
             solutions[name] = step.solution
     expected = _finish(pool)
@@ -199,19 +196,18 @@ def build_strategy(network, solutions):
 
 def evaluate_strategy(network, lam, result):
     """Re-solve with the recorded solution tables forced; equals the optimum."""
-    replay = solve(network, lam, policy_tables=result.solutions, checked=False)
+    replay = solve(network, lam, policy_tables=result.solutions)
     return replay.expected_value
 
 
-def oracle_solve(network, lam, checked=True):
+def oracle_solve(network, lam):
     """Combine everything into one joint valuation, then eliminate in order.
 
     Desk-scale verification path for the fusion algorithm; refuses joint
     frames above a million configurations.
     """
     lam = check_lambda(lam)
-    if checked:
-        _check(network)
+    _check(network)
     size = math.prod(len(v.frame) for v in network.variables)
     if size > ORACLE_GUARD:
         raise SolverError("joint frame has %d configurations, over the guard" % size)
@@ -270,14 +266,12 @@ def expected_interval(network):
     return UtilityInterval(d.name, bounds)
 
 
-def lambda_sweep(network, grid, checked=True):
+def lambda_sweep(network, grid):
     """Solve once per weighting factor, ascending; values must be monotone."""
     values = sorted({check_lambda(l) for l in grid})
     if not values:
         raise ValnetError("empty grid of weighting factors")
-    if checked:
-        _check(network)
-    results = [solve(network, lam, checked=False) for lam in values]
+    results = [solve(network, lam) for lam in values]
     for a, b in zip(results, results[1:]):
         if b.expected_value < a.expected_value - 1e-9 * max(1.0, abs(a.expected_value)):
             raise SolverError(
@@ -287,7 +281,7 @@ def lambda_sweep(network, grid, checked=True):
     return results
 
 
-def bayesian_check(network, lam, tol=1e-9):
+def bayesian_check(network, lam):
     """Solve an all-singleton (probabilistic) network; result is lambda-free.
 
     Raises unless every conditional table is made of singleton focals; solves
@@ -303,7 +297,7 @@ def bayesian_check(network, lam, tol=1e-9):
                     )
     low = solve(network, 0.0)
     high = solve(network, 1.0)
-    if abs(low.expected_value - high.expected_value) > tol:
+    if abs(low.expected_value - high.expected_value) > 1e-9:
         raise SolverError(
             "singleton-potential network is lambda-dependent: %r vs %r"
             % (low.expected_value, high.expected_value)
@@ -311,18 +305,17 @@ def bayesian_check(network, lam, tol=1e-9):
     return solve(network, lam)
 
 
-def propagate_marginal(network, target, checked=True):
+def propagate_marginal(network, target):
     """Marginal bpa of one variable in a pure-propagation network.
 
     Only the potentials of the target and its ancestors are combined.  Under
-    condition d every other potential marginalizes to the vacuous belief
-    function, so dropping it leaves the marginal unchanged up to float
-    rounding; ``checked`` validates the network first.
+    condition d, which the network's validation checks first, every other
+    potential marginalizes to the vacuous belief function, so dropping it
+    leaves the marginal unchanged up to float rounding.
     """
     if network.decisions or network.utilities:
         raise ValnetError("marginal propagation needs a network without decisions or utilities")
-    if checked:
-        _check(network)
+    _check(network)
     if target not in network.by_name:
         raise NetworkError("unknown variable %r" % target)
     if not any(target in p.domain for p in network.potentials):
@@ -339,7 +332,5 @@ def propagate_marginal(network, target, checked=True):
         if not any(v.name in val.domain for val in pool):
             continue
         pool, _ = fuse(pool, v)
-    marginal = combine_all(pool)
-    for name in sorted(marginal.domain - {target}):
-        marginal = marginalize_belief(marginal, name)
-    return marginal
+    # Every variable but the target is fused away, so no domain holds another.
+    return combine_all(pool)

@@ -127,6 +127,17 @@ def _support_over(configs, domain):
     return support
 
 
+def _domain(variables):
+    """The names of a valuation's variables, which must be nonempty and distinct."""
+    names = [v.name for v in variables]
+    if not names:
+        raise NetworkError("a valuation needs at least one variable")
+    if len(set(names)) != len(names):
+        repeated = next(n for n in names if names.count(n) > 1)
+        raise NetworkError("a valuation names variable %r more than once" % repeated)
+    return frozenset(names)
+
+
 def make_bpa(variables, assignments, label=""):
     """Build a belief valuation from (iterable of configurations, mass) pairs.
 
@@ -134,9 +145,7 @@ def make_bpa(variables, assignments, label=""):
     are dropped.  Masses must be nonnegative and sum to one.
     """
     variables = list(variables)
-    domain = frozenset(v.name for v in variables)
-    if not domain:
-        raise NetworkError("a bpa needs at least one variable")
+    domain = _domain(variables)
     frames = frames_of(variables)
     assignments = [(_support_over(configs, domain), mass) for configs, mass in assignments]
     _check_bpa_masses(assignments, label)
@@ -155,9 +164,7 @@ def make_utility(variables, table, label=""):
     The table must cover the full frame of the variables, nothing more.
     """
     variables = list(variables)
-    domain = frozenset(v.name for v in variables)
-    if not domain:
-        raise NetworkError("a utility valuation needs at least one variable")
+    domain = _domain(variables)
     frames = frames_of(variables)
     size = math.prod(len(f) for f in frames.values())
     # Counted first, so that a short table never builds the frame product.
@@ -190,9 +197,7 @@ def _coverage_error(label, names, frames, table, size):
 def vacuous(variables, label=""):
     """The belief function putting all mass on the full frame."""
     variables = list(variables)
-    if not variables:
-        raise NetworkError("the vacuous belief function needs a nonempty domain")
-    domain = frozenset(v.name for v in variables)
+    domain = _domain(variables)
     frames = frames_of(variables)
     support = frozenset(all_configs(domain, frames))
     return Valuation(domain, frames, BELIEF, (Focal(support, {x: 1.0 for x in support}),), label)
@@ -206,13 +211,13 @@ def belief_of(v, a):
     return sum(f.mass for f in v.focals if f.support <= a)
 
 
-def is_vacuous(v, tol=MASS_TOL):
+def is_vacuous(v):
     if v.kind != BELIEF or len(v.focals) != 1:
         return False
     focal = v.focals[0]
     return (
         len(focal.support) == v.full_frame_size()
-        and abs(focal.mass - 1.0) <= tol
+        and abs(focal.mass - 1.0) <= MASS_TOL
     )
 
 
@@ -286,7 +291,7 @@ def _balloon(head, parents, tables, label):
     return normalized, Valuation(domain, frames, BELIEF, focals, label)
 
 
-def is_conditional(v, head_name, tol=MASS_TOL):
+def is_conditional(v, head_name):
     """True iff marginalizing the head out of v leaves the vacuous belief function."""
     if v.kind != BELIEF:
         raise KindError("is_conditional needs a belief valuation, got %r" % v.kind)
@@ -294,7 +299,7 @@ def is_conditional(v, head_name, tol=MASS_TOL):
         raise DomainMismatchError("%r is not in the valuation's domain" % head_name)
     from .calculus import marginalize_belief
 
-    return is_vacuous(marginalize_belief(v, head_name), tol)
+    return is_vacuous(marginalize_belief(v, head_name))
 
 
 class ConditionalPotential(

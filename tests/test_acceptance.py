@@ -200,8 +200,8 @@ def test_ballooning_goldens():
 def test_fusion_equals_joint_elimination(network_suite):
     for net in network_suite:
         for lam in (0.0, 0.3, 0.7, 1.0):
-            fused = solve(net, lam, checked=False)
-            joint = oracle_solve(net, lam, checked=False)
+            fused = solve(net, lam)
+            joint = oracle_solve(net, lam)
             assert fused.expected_value == pytest.approx(
                 joint.expected_value, rel=1e-6, abs=1e-9
             )
@@ -211,7 +211,7 @@ def test_fusion_equals_joint_elimination(network_suite):
 def test_lambda_monotonicity(network_suite):
     grid = [i / 10 for i in range(11)]
     for net in network_suite:
-        values = [solve(net, lam, checked=False).expected_value for lam in grid]
+        values = [solve(net, lam).expected_value for lam in grid]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
 
@@ -237,8 +237,8 @@ def test_probabilistic_reduction():
     rng = random.Random(70)
     for _ in range(100):
         net = random_network(rng, singleton_only=True)
-        low = solve(net, 0.0, checked=False).expected_value
-        high = solve(net, 1.0, checked=False).expected_value
+        low = solve(net, 0.0).expected_value
+        high = solve(net, 1.0).expected_value
         assert abs(low - high) <= 1e-9 * max(1.0, abs(low))
         assert low == pytest.approx(rollback_value(net), rel=1e-9, abs=1e-9)
 

@@ -62,8 +62,8 @@ def results_digest(count=50, lams=(0.0, 0.3, 1.0)):
         for lam in lams:
             r = solve(net, lam, trace=True)
             steps = [
-                (s.index, s.variable, s.combined, s.provenance, s.result, s.contributions, s.solution)
-                for s in r.trace
+                (i, s.variable, s.combined, s.provenance, s.result, s.contributions, s.solution)
+                for i, s in enumerate(r.trace, 1)
             ]
             record = (r.expected_value, r.solutions, r.strategy.tables, steps)
             digest.update(repr(canonical(record)).encode())

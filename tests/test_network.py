@@ -3,6 +3,7 @@ import random
 import pytest
 
 from valnet import (
+    ConditionalPotential,
     Network,
     NetworkError,
     conditional,
@@ -11,6 +12,7 @@ from valnet import (
     make_config,
     make_utility,
     random_var,
+    vacuous,
     validate,
 )
 from valnet.calculus import combine_all, marginalize_belief
@@ -22,6 +24,8 @@ T = decision("T", ("t", "~t"))
 R = random_var("R", ("re", "ye", "gr", "nr"))
 D = decision("D", ("d", "~d"))
 O = random_var("O", ("dr", "we", "so"))
+PRIOR_R = conditional(R, [], {(): [(set(R.frame), 1.0)]})
+R_GIVEN_T = conditional(R, [T], {t: [(set(R.frame), 1.0)] for t in T.frame})
 
 
 def cfg(**values):
@@ -107,6 +111,20 @@ class TestValidateWildcatter:
         report = validate(Network(variables, utilities, potentials + [dup], arcs))
         assert "A1" in report.conditions()
 
+    def test_report_is_worked_out_once_and_immutable(self, wildcatter):
+        variables, utilities, potentials, arcs = wildcatter_parts(wildcatter)
+        net = Network(variables, [], potentials, arcs)
+        report = validate(net)
+        assert validate(net) is report
+        assert isinstance(report.findings, tuple) and report.findings
+
+    def test_potential_head_must_be_random(self):
+        u = make_utility([D], {cfg(D="d"): 1.0, cfg(D="~d"): 0.0})
+        # conditional() refuses a decision head, so this potential is hand-built.
+        potential = ConditionalPotential(D, (), {}, vacuous([D]))
+        report = validate(Network([D], [u], [potential]))
+        assert "error A1 potential head 'D' is not a random variable" in report.lines()
+
     def test_findings_have_printable_lines(self, wildcatter):
         variables, utilities, potentials, arcs = wildcatter_parts(wildcatter)
         report = validate(Network(variables, [], potentials, arcs))
@@ -136,6 +154,17 @@ class TestNetworkStructure:
     def test_arc_to_undeclared_variable_rejected(self):
         with pytest.raises(NetworkError):
             Network([T], arcs=[("T", "Z")])
+
+    @pytest.mark.parametrize("variables, utilities, potentials, message", [
+        ([R], [vacuous([R])], [], "non-utility valuation 'belief' in utilities"),
+        ([O], [], [PRIOR_R], "potential head 'R' is not a declared variable"),
+        ([random_var("R", ("re", "nr"))], [], [PRIOR_R], "potential head 'R' is not a declared variable"),
+        ([R], [], [R_GIVEN_T], "potential over undeclared variables ['T']"),
+    ], ids=["belief-as-utility", "undeclared-head", "other-head", "undeclared-parent"])
+    def test_valuations_must_fit_the_declarations(self, variables, utilities, potentials, message):
+        with pytest.raises(NetworkError) as exc:
+            Network(variables, utilities, potentials)
+        assert str(exc.value) == message
 
     def test_utility_over_undeclared_variable_rejected(self):
         u = make_utility([D], {cfg(D="d"): 1.0, cfg(D="~d"): 0.0})

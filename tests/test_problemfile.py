@@ -174,9 +174,12 @@ DECLARED = "random A { a, b }\ndecision D { a, b }\nrandom R { x, y, z }\n"
         lambda: conditional(R, [A], {"a": [({"x"}, 0.5)], "b": [({"y"}, 1)]}, "m"),
     ),
     ("lambda = 1.5", lambda: check_lambda(1.5)),
+    ("utility u on {} { }", lambda: make_utility([], {}, "u")),
+    ("utility u on {D, D} { a a = 1; b b = 2 }", lambda: make_utility([D, D], {}, "u")),
 ], ids=[
     "empty-frame", "repeated-frame-value", "utility-coverage", "bpa-head", "head-as-parent",
     "repeated-parent", "parent-coverage", "empty-focal", "negative-mass", "mass-sum", "lambda-range",
+    "utility-no-variables", "utility-repeated-variable",
 ])
 def test_the_library_judges_and_the_parser_adds_the_line(statement, build):
     with pytest.raises(ValnetError) as judged:

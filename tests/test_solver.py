@@ -26,6 +26,7 @@ from valnet import (
     propagate_marginal,
     random_var,
     solve,
+    validate,
 )
 from valnet import solver
 from valnet.calculus import combine_all, marginalize_belief
@@ -275,7 +276,6 @@ class TestPropagation:
         net = Network([a, b], (), [root, barren], [("A", "B")])
         with pytest.raises(NotWellDefinedError):
             propagate_marginal(net, "A")
-        assert propagate_marginal(net, "A", checked=False) == root.ballooned
 
     def test_rejects_decision_networks(self, wildcatter):
         with pytest.raises(ValnetError):
@@ -303,6 +303,18 @@ class TestGuards:
         with pytest.raises(NotWellDefinedError):
             solve(broken, 0.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda net: solve(net, 0.5),
+        lambda net: oracle_solve(net, 0.5),
+        lambda net: lambda_sweep(net, [0.5]),
+    ], ids=["solve", "oracle_solve", "lambda_sweep"])
+    def test_invalid_network_carries_its_report(self, wildcatter, call):
+        net = wildcatter.network
+        broken = Network(net.variables, net.utilities, net.potentials, [("T", "R")])
+        with pytest.raises(NotWellDefinedError) as exc:
+            call(broken)
+        assert exc.value.report is validate(broken)
+
     def test_lambda_out_of_range(self, wildcatter):
         with pytest.raises(ValnetError):
             solve(wildcatter.network, 1.5)
@@ -322,9 +334,10 @@ class TestGuards:
 
     def test_oracle_refuses_huge_joint_frames(self):
         variables = [decision("D%02d" % i, ("a", "b")) for i in range(21)]
-        u = make_utility(
-            [variables[0]], {cfg(D00="a"): 1.0, cfg(D00="b"): 0.0}
-        )
-        net = Network(variables, [u])
+        utilities = [
+            make_utility([v], {cfg(**{v.name: "a"}): 1.0, cfg(**{v.name: "b"}): 0.0})
+            for v in variables
+        ]
+        net = Network(variables, utilities)
         with pytest.raises(SolverError):
-            oracle_solve(net, 0.5, checked=False)
+            oracle_solve(net, 0.5)

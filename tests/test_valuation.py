@@ -331,6 +331,18 @@ class TestIsConditional:
             assert is_conditional(balloon(O, [R], tables), "O")
 
 
+@pytest.mark.parametrize("build", [
+    lambda variables: make_bpa(variables, []),
+    lambda variables: make_utility(variables, {}),
+    vacuous,
+], ids=["make_bpa", "make_utility", "vacuous"])
+def test_a_valuation_needs_distinct_variables(build):
+    with pytest.raises(NetworkError, match="^a valuation needs at least one variable$"):
+        build([])
+    with pytest.raises(NetworkError, match="^a valuation names variable 'R' more than once$"):
+        build([R, T, R])
+
+
 def test_focal_values_must_cover_exactly_the_support():
     support = focal_set({"T": "t"}, {"T": "~t"})
     assert Focal(support, {x: 0.5 for x in support}).mass == 0.5
