@@ -55,7 +55,6 @@ from .valuation import (
     ConditionalPotential,
     Focal,
     Valuation,
-    balloon,
     belief_of,
     conditional,
     is_conditional,

@@ -308,10 +308,10 @@ def bayesian_check(network, lam):
 def propagate_marginal(network, target):
     """Marginal bpa of one variable in a pure-propagation network.
 
-    Only the potentials of the target and its ancestors are combined.  Under
-    condition d, which the network's validation checks first, every other
-    potential marginalizes to the vacuous belief function, so dropping it
-    leaves the marginal unchanged up to float rounding.
+    Only the potentials of the target and its ancestors are combined.  Every
+    potential meets condition d by construction, so each dropped one
+    marginalizes to the vacuous belief function, and the marginal changes
+    by float rounding only.
     """
     if network.decisions or network.utilities:
         raise ValnetError("marginal propagation needs a network without decisions or utilities")

@@ -22,8 +22,8 @@ GENERAL = "general"
 
 # Absolute tolerance on bpa mass sums.
 MASS_TOL = 1e-9
-# Most focal combinations ``balloon`` enumerates (one focal per parent
-# configuration); 3 focals on each of 9 parent configurations give 19,683.
+# Most focal combinations a potential's balloon enumerates (one focal per
+# parent configuration); 3 focals on each of 9 parent configurations give 19,683.
 BALLOON_LIMIT = 10_000
 
 
@@ -215,100 +215,106 @@ def is_vacuous(v):
     if v.kind != BELIEF or len(v.focals) != 1:
         return False
     focal = v.focals[0]
-    return (
-        len(focal.support) == v.full_frame_size()
-        and abs(focal.mass - 1.0) <= MASS_TOL
-    )
-
-
-def balloon(head, parents, tables, label=""):
-    """Lift per-parent-configuration bpas over the head to one joint bpa.
-
-    ``tables`` maps each parent configuration to a sequence of
-    (head-value subset, mass) pairs.  Each joint focal picks one focal per
-    parent configuration; its support is the union of the picked slices and
-    its mass the product of the picked masses.  More than ``BALLOON_LIMIT``
-    such picks raise ``SolverError`` before any is made.
-    """
-    return _balloon(head, tuple(parents), tables, label)[1]
-
-
-def _balloon(head, parents, tables, label):
-    """Judge the tables once; return them normalized, and the joint bpa."""
-    names = [p.name for p in parents]
-    if head.name in names or len(set(names)) != len(names):
-        raise NetworkError("bad parent list for bpa %r" % label)
-    normalized = _parent_tables(parents, tables)
-    parent_names = frozenset(names)
-    frames = frames_of(parents)
-    frames[head.name] = tuple(head.frame)
-    count = math.prod(len(p.frame) for p in parents)
-    # Counted first, so that a short table never builds the frame product.
-    enumerate_configs = all_configs if len(normalized) == count else iter_configs
-    parent_configs = enumerate_configs(parent_names, frames)
-    missing = next((c for c in parent_configs if c not in normalized), None)
-    if missing is not None:
-        raise DomainMismatchError(
-            "bpa %r has no entries for parent configuration %r" % (label, missing)
-        )
-    if len(normalized) != count:
-        raise DomainMismatchError("bpa %r has a table outside the parents' frames" % label)
-    head_frame = set(head.frame)
-    for cfg, entries in normalized.items():
-        for subset, _ in entries:
-            if not subset:
-                raise _mass_error(label, cfg, "empty focal element")
-            if not subset <= head_frame:
-                raise _mass_error(
-                    label, cfg,
-                    "focal %r is not a subset of the frame of %r" % (sorted(subset), head.name),
-                )
-        _check_bpa_masses(entries, label, cfg)
-
-    per_parent = [normalized[c] for c in parent_configs]
-    combinations = math.prod(len(entries) for entries in per_parent)
-    if combinations > BALLOON_LIMIT:
-        raise SolverError(
-            "ballooning %r would enumerate %d focal combinations, more than the limit of %d"
-            % (head.name, combinations, BALLOON_LIMIT)
-        )
-    domain = parent_names | {head.name}
-    cells = [
-        {r: concat_configs(cfg, make_config({head.name: r})) for r in head.frame}
-        for cfg in parent_configs
-    ]
-    items = []
-    for choice in itertools.product(*per_parent):
-        mass = math.prod(m for _, m in choice)
-        if mass <= 0:
-            continue
-        members = set()
-        for cell, (subset, _) in zip(cells, choice):
-            members.update(cell[r] for r in subset)
-        support = frozenset(members)
-        items.append((support, {x: mass for x in support}))
-    focals = canonical_focals(items, BELIEF)
-    return normalized, Valuation(domain, frames, BELIEF, focals, label)
+    return len(focal.support) == v.full_frame_size() and abs(focal.mass - 1.0) <= MASS_TOL
 
 
 def is_conditional(v, head_name):
-    """True iff marginalizing the head out of v leaves the vacuous belief function."""
+    """True iff every focal of v projects onto the whole frame of v's other variables.
+
+    For a bpa, whose masses are judged where it is built, this is condition d.
+    """
     if v.kind != BELIEF:
         raise KindError("is_conditional needs a belief valuation, got %r" % v.kind)
     if head_name not in v.domain:
         raise DomainMismatchError("%r is not in the valuation's domain" % head_name)
-    from .calculus import marginalize_belief
+    size = math.prod(len(v.frames[n]) for n in v.domain if n != head_name)
+    return all(
+        len({tuple(pair for pair in x if pair[0] != head_name) for x in f.support}) == size
+        for f in v.focals
+    )
 
-    return is_vacuous(marginalize_belief(v, head_name))
 
+class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tables ballooned label")):
+    """A per-parent family of bpas over one random variable, and its balloon.
 
-class ConditionalPotential(
-    namedtuple("ConditionalPotential", "head parents tables ballooned label", defaults=("",))
-):
-    """A per-parent family of bpas over one random variable, ballooned eagerly."""
+    ``tables`` maps parent configurations (or tuples of parent values) to
+    (head-value subset, mass) pairs.  Each focal of the joint bpa ``ballooned``
+    picks one focal per parent configuration: its support is the union of the
+    picked slices, its mass their product.  More than ``BALLOON_LIMIT`` picks
+    raise ``SolverError`` before any is made.
+    """
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = Valuation.__eq__, Valuation.__ne__, Valuation.__hash__
+
+    def __new__(cls, head, parents, tables, label=""):
+        parents = tuple(parents)
+        if head.kind != "random":
+            raise NetworkError("bpa head %r must be a random variable" % head.name)
+        names = [p.name for p in parents]
+        if head.name in names or len(set(names)) != len(names):
+            raise NetworkError("bad parent list for bpa %r" % label)
+        normalized = _parent_tables(parents, tables)
+        parent_names = frozenset(names)
+        frames = frames_of(parents + (head,))
+        count = math.prod(len(p.frame) for p in parents)
+        # Counted first, so that a short table never builds the frame product.
+        enumerate_configs = all_configs if len(normalized) == count else iter_configs
+        parent_configs = enumerate_configs(parent_names, frames)
+        missing = next((c for c in parent_configs if c not in normalized), None)
+        if missing is not None:
+            raise DomainMismatchError(
+                "bpa %r has no entries for parent configuration %r" % (label, missing)
+            )
+        if len(normalized) != count:
+            raise DomainMismatchError("bpa %r has a table outside the parents' frames" % label)
+        head_frame = set(head.frame)
+        for cfg, entries in normalized.items():
+            for subset, _ in entries:
+                if not subset:
+                    raise _mass_error(label, cfg, "empty focal element")
+                if not subset <= head_frame:
+                    raise _mass_error(
+                        label, cfg,
+                        "focal %r is not a subset of the frame of %r" % (sorted(subset), head.name),
+                    )
+            _check_bpa_masses(entries, label, cfg)
+        per_parent = [normalized[c] for c in parent_configs]
+        combinations = math.prod(len(entries) for entries in per_parent)
+        if combinations > BALLOON_LIMIT:
+            raise SolverError(
+                "ballooning %r would enumerate %d focal combinations, more than the limit of %d"
+                % (head.name, combinations, BALLOON_LIMIT)
+            )
+        cells = [
+            {r: concat_configs(cfg, make_config({head.name: r})) for r in head.frame}
+            for cfg in parent_configs
+        ]
+        items = []
+        for choice in itertools.product(*per_parent):
+            mass = math.prod(m for _, m in choice)
+            if mass <= 0:
+                continue
+            support = frozenset(cell[r] for cell, (subset, _) in zip(cells, choice) for r in subset)
+            items.append((support, {x: mass for x in support}))
+        focals = canonical_focals(items, BELIEF)
+        ballooned = Valuation(parent_names | {head.name}, frames, BELIEF, focals, label)
+        return super().__new__(cls, head, parents, normalized, ballooned, label)
+
+    # ``_replace``, copies and pickles build through these, so the balloon is
+    # always derived again from the tables, never given.
+    @classmethod
+    def _make(cls, fields):
+        head, parents, tables, _, label = fields
+        return cls(head, parents, tables, label)
+
+    def _replace(self, **changes):
+        if "ballooned" in changes:
+            raise TypeError("a potential's ballooned bpa is derived from its tables")
+        return super()._replace(**changes)
+
+    __replace__ = _replace  # copy.replace, from Python 3.13
+    __getnewargs__ = lambda self: (self.head, self.parents, self.tables, self.label)
 
     @property
     def domain(self):
@@ -336,11 +342,5 @@ def _parent_tables(parents, tables):
     return normalized
 
 
-def conditional(head, parents, tables, label=""):
-    """Build a conditional potential, normalizing table keys to configurations."""
-    parents = tuple(parents)
-    if head.kind != "random":
-        raise NetworkError("bpa head %r must be a random variable" % head.name)
-    normalized, ballooned = _balloon(head, parents, tables, label)
-    return ConditionalPotential(head, parents, normalized, ballooned, label)
-
+# The name the parser and most callers build potentials by.
+conditional = ConditionalPotential

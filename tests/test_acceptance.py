@@ -12,8 +12,8 @@ import pytest
 
 from valnet import (
     DIAMOND,
-    balloon,
     combine,
+    conditional,
     expected_interval,
     make_config,
     oracle_solve,
@@ -154,14 +154,14 @@ def test_ballooning_goldens():
     R = random_var("R", ("re", "ye", "gr", "nr"))
     O = random_var("O", ("dr", "we", "so"))
 
-    mu = balloon(
+    mu = conditional(
         R,
         [T],
         {
             cfg(T="t"): [({"re"}, 0.5), ({"ye"}, 0.2), ({"gr"}, 0.3)],
             cfg(T="~t"): [({"nr"}, 1.0)],
         },
-    )
+    ).ballooned
     got = {
         frozenset((dict(x)["T"], dict(x)["R"]) for x in f.support): f.mass
         for f in mu.focals
@@ -172,7 +172,7 @@ def test_ballooning_goldens():
         frozenset([("t", "gr"), ("~t", "nr")]): pytest.approx(0.3),
     }
 
-    rho = balloon(
+    rho = conditional(
         O,
         [R],
         {
@@ -181,7 +181,7 @@ def test_ballooning_goldens():
             cfg(R="gr"): [({"we", "so"}, 1.0)],
             cfg(R="nr"): [({"dr"}, 0.5), ({"dr", "we"}, 0.2), ({"we", "so"}, 0.3)],
         },
-    )
+    ).ballooned
     base = {
         ("re", "dr"), ("ye", "dr"), ("ye", "we"), ("gr", "we"), ("gr", "so"),
     }

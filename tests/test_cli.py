@@ -358,3 +358,26 @@ def test_combining_past_the_limit_is_a_solver_error(
     assert code == EXIT_SOLVER
     assert out == ""
     assert err == expected + " focal combinations, more than the limit of 2\n"
+
+
+def near_halves():
+    """R | P on 8 parent configurations, each table 2e-10 short of one."""
+    values = ", ".join("p%d" % i for i in range(1, 9))
+    lines = [
+        "random P { %s }" % values,
+        "random R { a, b, c }",
+        "prec P -> R",
+        "bpa prior on {P} { {%s} = 1 }" % values,
+        "bpa r on {R | P} {",
+    ]
+    for i in range(1, 9):
+        lines.append("  p%d : {a} = 0.4999999999; p%d : {b, c} = 0.4999999999;" % (i, i))
+    return "\n".join(lines + ["}", ""])
+
+
+@pytest.mark.parametrize("command", [["check"], ["marginal", "--target", "R"]])
+def test_tables_within_the_mass_tolerance_meet_condition_d(capsys, tmp_path, command):
+    # Each table parses; the balloon's total mass, 1 - 1.6e-9, once failed d.
+    code, out, err = run(capsys, *command, write(tmp_path, near_halves()))
+    assert (code, err) == (EXIT_OK, "")
+    assert "does not marginalize" not in out

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -26,6 +28,10 @@ D = decision("D", ("d", "~d"))
 O = random_var("O", ("dr", "we", "so"))
 PRIOR_R = conditional(R, [], {(): [(set(R.frame), 1.0)]})
 R_GIVEN_T = conditional(R, [T], {t: [(set(R.frame), 1.0)] for t in T.frame})
+# Frames that differ from a declaration: D {a, b} and T {t, u} are declared.
+D_AB, T_TU = decision("D", ("a", "b")), random_var("T", ("t", "u"))
+U_ABC = make_utility([decision("D", "abc")], {(("D", v),): 1.0 for v in "abc"})
+R_GIVEN_T_T = conditional(R, [random_var("T", ("t",))], {"t": [(set(R.frame), 1.0)]})
 
 
 def cfg(**values):
@@ -119,11 +125,8 @@ class TestValidateWildcatter:
         assert isinstance(report.findings, tuple) and report.findings
 
     def test_potential_head_must_be_random(self):
-        u = make_utility([D], {cfg(D="d"): 1.0, cfg(D="~d"): 0.0})
-        # conditional() refuses a decision head, so this potential is hand-built.
-        potential = ConditionalPotential(D, (), {}, vacuous([D]))
-        report = validate(Network([D], [u], [potential]))
-        assert "error A1 potential head 'D' is not a random variable" in report.lines()
+        with pytest.raises(NetworkError, match="^bpa head 'D' must be a random variable$"):
+            ConditionalPotential(D, (), {(): [({"d", "~d"}, 1.0)]})
 
     def test_findings_have_printable_lines(self, wildcatter):
         variables, utilities, potentials, arcs = wildcatter_parts(wildcatter)
@@ -134,6 +137,12 @@ class TestValidateWildcatter:
 
 
 class TestNetworkStructure:
+    def test_copies_and_pickles_are_equal(self, wildcatter):
+        net = wildcatter.network
+        for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert twin == net
+            assert twin.potentials == net.potentials
+
     def test_closure_is_transitive(self, wildcatter):
         net = wildcatter.network
         assert net.before("T", "O")
@@ -160,7 +169,10 @@ class TestNetworkStructure:
         ([O], [], [PRIOR_R], "potential head 'R' is not a declared variable"),
         ([random_var("R", ("re", "nr"))], [], [PRIOR_R], "potential head 'R' is not a declared variable"),
         ([R], [], [R_GIVEN_T], "potential over undeclared variables ['T']"),
-    ], ids=["belief-as-utility", "undeclared-head", "other-head", "undeclared-parent"])
+        ([D_AB], [U_ABC], [], "utility frame for 'D' differs from its declaration"),
+        ([T_TU, R], [], [R_GIVEN_T_T], "potential frame for 'T' differs from its declaration"),
+    ], ids=["belief-as-utility", "undeclared-head", "other-head", "undeclared-parent",
+            "utility-frame", "parent-frame"])
     def test_valuations_must_fit_the_declarations(self, variables, utilities, potentials, message):
         with pytest.raises(NetworkError) as exc:
             Network(variables, utilities, potentials)

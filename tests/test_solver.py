@@ -18,6 +18,7 @@ from valnet import (
     evaluate_strategy,
     expected_interval,
     fuse,
+    is_conditional,
     lambda_sweep,
     make_bpa,
     make_config,
@@ -270,12 +271,17 @@ class TestPropagation:
     def test_barren_potential_failing_d_is_refused(self):
         a, b = random_var("A", ("x", "y")), random_var("B", ("u", "v"))
         root = conditional(a, [], {(): [({"x", "y"}, 1.0)]})
-        # A point mass on the joint frame does not marginalize to vacuous on A.
+        barren = conditional(b, [a], {("x",): [({"u"}, 1.0)], ("y",): [({"u", "v"}, 1.0)]})
+        # A point mass on the joint frame does not marginalize to vacuous on A,
+        # and a potential's balloon is derived from its tables, never given.
         point = make_bpa([a, b], [(frozenset([make_config({"A": "x", "B": "u"})]), 1.0)])
-        barren = ConditionalPotential(b, (a,), {}, point)
+        with pytest.raises(TypeError):
+            ConditionalPotential(b, (a,), barren.tables, ballooned=point)
+        with pytest.raises(TypeError):
+            barren._replace(ballooned=point)
+        assert is_conditional(barren.ballooned, "B")
         net = Network([a, b], (), [root, barren], [("A", "B")])
-        with pytest.raises(NotWellDefinedError):
-            propagate_marginal(net, "A")
+        assert propagate_marginal(net, "A") == root.ballooned
 
     def test_rejects_decision_networks(self, wildcatter):
         with pytest.raises(ValnetError):

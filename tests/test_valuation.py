@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -10,7 +12,6 @@ from valnet import (
     NetworkError,
     SolverError,
     UtilityError,
-    balloon,
     belief_of,
     combine,
     conditional,
@@ -216,13 +217,13 @@ class TestVacuous:
         assert combine(vacuous([R]), b) == b
 
     def test_ballooned_conditional_marginal_is_vacuous(self):
-        v = balloon(O, [R], OIL_TABLES)
+        v = conditional(O, [R], OIL_TABLES).ballooned
         assert is_vacuous(marginalize_belief(v, "O"))
 
 
 class TestBalloon:
     def test_result_given_test(self):
-        v = balloon(R, [T], RESULT_TABLES)
+        v = conditional(R, [T], RESULT_TABLES).ballooned
         expected = {
             focal_set({"T": "t", "R": "re"}, {"T": "~t", "R": "nr"}): 0.5,
             focal_set({"T": "t", "R": "ye"}, {"T": "~t", "R": "nr"}): 0.2,
@@ -234,7 +235,7 @@ class TestBalloon:
             assert got[support] == pytest.approx(mass)
 
     def test_oil_given_result(self):
-        v = balloon(O, [R], OIL_TABLES)
+        v = conditional(O, [R], OIL_TABLES).ballooned
         base = [
             {"R": "re", "O": "dr"},
             {"R": "ye", "O": "dr"},
@@ -256,7 +257,7 @@ class TestBalloon:
         tables = {
             make_config({"T": v}): [(set(R.frame), 1.0)] for v in T.frame
         }
-        v = balloon(R, [T], tables)
+        v = conditional(R, [T], tables).ballooned
         assert is_vacuous(v)
 
     def test_mass_total_is_product_of_sums(self):
@@ -265,55 +266,53 @@ class TestBalloon:
             tables = {
                 make_config({"T": v}): random_subsets(rng, O.frame) for v in T.frame
             }
-            v = balloon(O, [T], tables)
+            v = conditional(O, [T], tables).ballooned
             assert sum(f.mass for f in v.focals) == pytest.approx(1.0)
 
     def test_missing_parent_config(self):
         with pytest.raises(DomainMismatchError):
-            balloon(R, [T], {make_config({"T": "t"}): [({"re"}, 1.0)]})
+            conditional(R, [T], {make_config({"T": "t"}): [({"re"}, 1.0)]})
 
     def test_parent_value_keys_match_configuration_keys(self):
         by_values = {("t",): RESULT_TABLES[make_config({"T": "t"})], "~t": [({"nr"}, 1.0)]}
-        assert balloon(R, [T], by_values) == balloon(R, [T], RESULT_TABLES)
+        assert conditional(R, [T], by_values).ballooned == conditional(R, [T], RESULT_TABLES).ballooned
         assert conditional(R, [T], by_values).tables == conditional(R, [T], RESULT_TABLES).tables
 
     @pytest.mark.parametrize("key", [("t", "re"), make_config({"R": "re"})])
     def test_parent_key_for_other_variables(self, key):
         tables = {key: [({"dr"}, 1.0)], ("~t",): [({"dr"}, 1.0)]}
-        for build in (balloon, conditional):
-            with pytest.raises(DomainMismatchError, match="does not match parents"):
-                build(O, [T], tables)
+        with pytest.raises(DomainMismatchError, match="does not match parents"):
+            conditional(O, [T], tables)
 
     @pytest.mark.parametrize("parents", [[T, T], [T, R]], ids=["repeated", "head"])
     def test_bad_parent_list(self, parents):
         # A repeated parent once built a potential that serialized to a
         # file the parser rejected.
         tables = {("t", "t"): [({"re"}, 1.0)], ("~t", "~t"): [({"nr"}, 1.0)]}
-        for build in (balloon, conditional):
-            with pytest.raises(NetworkError, match="bad parent list for bpa 'b'"):
-                build(R, parents, tables, label="b")
+        with pytest.raises(NetworkError, match="bad parent list for bpa 'b'"):
+            conditional(R, parents, tables, label="b")
 
     def test_combination_limit(self, monkeypatch):
         # RESULT_TABLES picks 3 x 1 focals, OIL_TABLES 1 x 1 x 1 x 3.
         monkeypatch.setattr(valuation, "BALLOON_LIMIT", 3)
-        assert len(balloon(R, [T], RESULT_TABLES).focals) == 3
+        assert len(conditional(R, [T], RESULT_TABLES).ballooned.focals) == 3
         assert len(conditional(O, [R], OIL_TABLES).ballooned.focals) == 3
         tables = dict(RESULT_TABLES)
         tables[make_config({"T": "~t"})] = [({"nr"}, 0.5), ({"re", "nr"}, 0.5)]
         with pytest.raises(SolverError, match="'R' would enumerate 6 focal combinations, "
                            "more than the limit of 3"):
-            balloon(R, [T], tables)
+            conditional(R, [T], tables)
 
     def test_ballooned_projection_onto_head(self):
-        v = balloon(R, [T], RESULT_TABLES)
+        v = conditional(R, [T], RESULT_TABLES).ballooned
         proj = {project_config(x, {"T"}) for x in v.focals[0].support}
         assert proj == frozenset([make_config({"T": "t"}), make_config({"T": "~t"})])
 
 
 class TestIsConditional:
     def test_ballooned_is_conditional(self):
-        assert is_conditional(balloon(O, [R], OIL_TABLES), "O")
-        assert is_conditional(balloon(R, [T], RESULT_TABLES), "R")
+        assert is_conditional(conditional(O, [R], OIL_TABLES).ballooned, "O")
+        assert is_conditional(conditional(R, [T], RESULT_TABLES).ballooned, "R")
 
     def test_point_mass_is_not(self):
         b = make_bpa([R, O], [(focal(R="re", O="dr"), 1.0)])
@@ -328,7 +327,34 @@ class TestIsConditional:
             tables = {
                 make_config({"R": v}): random_subsets(rng, O.frame) for v in R.frame
             }
-            assert is_conditional(balloon(O, [R], tables), "O")
+            assert is_conditional(conditional(O, [R], tables).ballooned, "O")
+
+    def test_agrees_with_marginalizing_the_head_out(self):
+        # The definition is_conditional had before it judged structure alone.
+        def reference(v, head):
+            return is_vacuous(marginalize_belief(v, head))
+
+        def exact(rng, supports):
+            # Masses in eighths, so that sums and products are exact.
+            cuts = sorted(rng.sample(range(1, 8), len(supports) - 1))
+            return [(s, (b - a) / 8) for s, a, b in zip(supports, [0] + cuts, cuts + [8])]
+
+        joint = valuation.all_configs(["R", "O"], {"R": R.frame, "O": O.frame})
+        rng = random.Random(29)
+        verdicts = []
+        for _ in range(300):
+            if rng.random() < 0.5:
+                supports = [rng.sample(joint, rng.randint(1, len(joint))) for _ in range(rng.randint(1, 4))]
+                v, head = make_bpa([R, O], exact(rng, supports)), rng.choice("RO")
+            else:
+                tables = {
+                    (r,): exact(rng, [rng.sample(O.frame, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))])
+                    for r in R.frame
+                }
+                v, head = conditional(O, [R], tables).ballooned, "O"
+            verdicts.append(is_conditional(v, head))
+            assert verdicts[-1] == reference(v, head)
+        assert set(verdicts) == {True, False}
 
 
 @pytest.mark.parametrize("build", [
@@ -391,11 +417,29 @@ def test_valuation_equality_ignores_the_label():
 
 def test_conditional_potential_equality_ignores_the_label():
     p = conditional(O, [R], {(r,): [({"dr", "we"}, 0.5), ({"so"}, 0.5)] for r in R.frame}, label="p")
-    renamed = p._replace(label="q", ballooned=p.ballooned._replace(label="q"))
+    renamed = p._replace(label="q")
     assert p == renamed
     assert not p != renamed
     assert p != tuple(p)
-    assert p != p._replace(tables={})
+    assert p != p._replace(tables={(r,): [({"so"}, 1.0)] for r in R.frame})
+
+
+def test_potential_copies_and_pickles_balloon_an_equal_record():
+    p = conditional(O, [R], OIL_TABLES, label="oil")
+    for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p
+        assert (twin.label, twin.ballooned.label) == ("oil", "oil")
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        assert copy.replace(p, label="q").ballooned.label == "q"
+        with pytest.raises(TypeError):
+            copy.replace(p, ballooned=p.ballooned)
+
+
+def test_replaced_tables_are_ballooned_again():
+    p = conditional(O, [R], OIL_TABLES)
+    tables = {(r,): [({"dr", "we"}, 0.25), ({"so"}, 0.75)] for r in R.frame}
+    assert p._replace(tables=tables).ballooned == conditional(p.head, p.parents, tables).ballooned
+    assert p._replace(tables=tables).ballooned != p.ballooned
 
 
 def test_records_are_frozen():
