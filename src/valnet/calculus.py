@@ -245,10 +245,7 @@ def marginalize(v, variable, lam=None, policy=None):
     recorded in a solution table) or the lambda-weighted blend of that
     maximum and minimum (random variables).
 
-    Returns (valuation, solution table or None, contributions), where
-    contributions is a list parallel to the result focals; each entry maps
-    (source focal index, result configuration) to the value that source
-    focal contributed there.
+    Returns (valuation, solution table or None).
     """
     name = variable.name
     if name not in v.domain:
@@ -266,26 +263,24 @@ def marginalize(v, variable, lam=None, policy=None):
     domain = sorted(v.domain)
     project, pos = _projector(domain, rest), domain.index(name)
     groups = {}
-    for idx, f in enumerate(v.focals):
+    for f in v.focals:
         slices = {}
         for y in f.support:
             slices.setdefault(project(y), {})[y] = f.values[y]
         # keys(): frozenset(dict) presizes, so the set would iterate in another order.
         mass = f.mass if belief else None
-        groups.setdefault(frozenset(slices.keys()), []).append((idx, mass, slices))
+        groups.setdefault(frozenset(slices.keys()), []).append((mass, slices))
 
     scores = {}
     focal_prefs = {}
     focals = []
-    contributions = []
     # The groups are distinct supports: sorting them and dropping zero-mass
     # belief focals is all that canonical_focals would add.
     for support in sorted(groups, key=sorted) if len(groups) > 1 else groups:
         values = {}
-        contribs = {}
         for x in support:
             total = 0.0
-            for idx, mass, slices in groups[support]:
+            for mass, slices in groups[support]:
                 ext = slices[x]
                 if belief:
                     contrib = mass
@@ -302,13 +297,11 @@ def marginalize(v, variable, lam=None, policy=None):
                         focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
                 else:
                     contrib = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
-                contribs[(idx, x)] = contrib
                 total += contrib
             values[x] = total
         if belief and all(m == 0 for m in values.values()):
             continue
         focals.append(Focal(support, _finite(values, "marginal value")))
-        contributions.append(contribs)
 
     kind = BELIEF if belief else _nonbelief_kind(rest, frames, focals)
     result = Valuation(rest, frames, kind, tuple(focals))
@@ -318,7 +311,7 @@ def marginalize(v, variable, lam=None, policy=None):
         choices = {x: _best_act(acts, variable.frame) for x, acts in scores.items()}
         conflicts = frozenset(x for x, prefs in focal_prefs.items() if len(prefs) > 1)
         table = SolutionTable(name, tuple(sorted(rest)), choices, conflicts)
-    return result, table, contributions
+    return result, table
 
 
 def _best_act(acts, frame):

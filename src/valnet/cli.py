@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
-from .calculus import check_lambda
+from .calculus import check_lambda, marginalize
 from .errors import ProblemFormatError, ValnetError
 from .model import DIAMOND, project_config
 from .network import validate
@@ -17,6 +18,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a pipeline cut short
 
 
 def _lambda_arg(text):
@@ -72,13 +74,20 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.run(parse_problem(text), args)
+        code = args.run(parse_problem(text), args)
+        sys.stdout.flush()
+        return code
     except ProblemFormatError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except ValnetError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
+    except BrokenPipeError:
+        # The reader has gone, as in ``valnet solve ... | head``.  Python
+        # flushes stdout again at exit, so point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 def _report_invalid(network):
@@ -105,8 +114,6 @@ def _decl_order(network):
 
 
 def _fmt_config(cfg, decl):
-    if cfg == DIAMOND:
-        return "<>"
     values = dict(cfg)
     return " ".join(values[n] for n in decl if n in values)
 
@@ -126,28 +133,17 @@ def _psi_lines(network, result):
             for cfg, act in sorted(table.choices.items())
         ]
         out.append("Psi[%s]: %s" % (name, "; ".join(parts)))
-        if table.conflicts:
-            out.append(
-                "warning: Psi[%s] has conflicting per-focal preferences at %s"
-                % (name, ", ".join(_fmt_config(c, decl) for c in sorted(table.conflicts)))
-            )
     return out
 
 
 def _strategy_parts(network, result):
     decl = _decl_order(network)
-    parts = []
-    for name in decl:
-        entry = result.strategy.tables.get(name)
-        if entry is None:
-            continue
-        names, mapping = entry
-        if not names:
-            parts.append(("%s" % name, "", mapping[DIAMOND]))
-        else:
-            for cfg, act in sorted(mapping.items()):
-                parts.append((name, _fmt_config(cfg, decl), act))
-    return parts
+    tables = result.strategy.tables
+    return [
+        (name, _fmt_config(cfg, decl), act)
+        for name in decl if name in tables
+        for cfg, act in sorted(tables[name][1].items())
+    ]
 
 
 def cmd_solve(problem, args):
@@ -158,11 +154,11 @@ def cmd_solve(problem, args):
         return EXIT_PARSE
     if _report_invalid(network):
         return EXIT_INVALID
-    result = solve(network, lam, trace=args.trace)
+    result = solve(network, lam)
 
-    if args.trace and result.trace:
+    if args.trace:
         for index, step in enumerate(result.trace, 1):
-            _print_step(network, index, step)
+            _print_step(network, index, step, result.lam)
             print()
     if args.machine:
         print("# record\tname\tcontext\tvalue")
@@ -173,8 +169,7 @@ def cmd_solve(problem, args):
             if table is None:
                 continue
             for cfg, act in sorted(table.choices.items()):
-                ctx = "" if cfg == DIAMOND else _fmt_config(cfg, decl)
-                print("psi\t%s\t%s\t%s" % (name, ctx, act))
+                print("psi\t%s\t%s\t%s" % (name, _fmt_config(cfg, decl), act))
         for name, ctx, act in _strategy_parts(network, result):
             print("strategy\t%s\t%s\t%s" % (name, ctx, act))
     else:
@@ -190,7 +185,7 @@ def cmd_solve(problem, args):
     return EXIT_OK
 
 
-def _print_step(network, index, step):
+def _print_step(network, index, step, lam):
     decl = _decl_order(network)
     print(
         "step %d: eliminate %s (%s), domain {%s}"
@@ -202,18 +197,18 @@ def _print_step(network, index, step):
         )
     )
     labels = [v.label or ("input%d" % i) for i, v in enumerate(step.inputs)]
-    contrib = {}
-    for group in step.contributions:
-        contrib.update(group)
-
     header = ["focal", "config"] + labels + ["combined", "marginal"]
     if step.solution is not None:
         header.append("Psi[%s]" % step.variable)
     rows = []
     rest = step.result.domain
+    variable = network.by_name[step.variable]
     for j, focal in enumerate(step.combined.focals):
-        sources = step.provenance[j]
-        single = sources[0] if len(sources) == 1 else None
+        # A valid network joins one focal per input into each combined focal.
+        (sources,) = step.provenance[j]
+        # What this focal contributes to the result is its marginal alone.
+        alone = step.combined._replace(focals=(focal,))
+        marginal = marginalize(alone, variable, lam)[0].focals[0].values
         ordered = sorted(
             focal.support,
             key=lambda z: (project_config(z, rest), z),
@@ -222,19 +217,14 @@ def _print_step(network, index, step):
         for z in ordered:
             x = project_config(z, rest)
             cells = [str(j + 1) if z == ordered[0] else "", _fmt_config(z, decl)]
-            for k, v in enumerate(step.inputs):
-                if single is None:
-                    cells.append("")
-                else:
-                    src = v.focals[single[k]]
-                    proj = project_config(z, v.domain)
-                    cells.append(_fmt(src.values[proj]) if proj in src.values else "")
+            for v, i in zip(step.inputs, sources):
+                cells.append(_fmt(v.focals[i].values[project_config(z, v.domain)]))
             cells.append(_fmt(focal.values[z]))
             if x not in seen:
                 seen.add(x)
-                cells.append(_fmt(contrib.get((j, x), 0.0)))
+                cells.append(_fmt(marginal[x]))
                 if step.solution is not None:
-                    cells.append(step.solution.choices.get(x, ""))
+                    cells.append(step.solution.choices[x])
             else:
                 cells.append("")
                 if step.solution is not None:

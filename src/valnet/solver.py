@@ -26,14 +26,8 @@ from .network import elimination_order, validate
 ORACLE_GUARD = 10 ** 6
 
 
-class FusionStep(
-    namedtuple(
-        "FusionStep",
-        "variable kind inputs combined provenance result contributions solution",
-        defaults=(None,),
-    )
-):
-    """One elimination step; ``solve(..., trace=True)`` keeps them in elimination order."""
+class FusionStep(namedtuple("FusionStep", "variable kind inputs combined provenance result solution")):
+    """One elimination step; ``solve`` keeps them in ``SolveResult.trace``, in elimination order."""
 
     __slots__ = ()
 
@@ -66,7 +60,7 @@ class Strategy(namedtuple("Strategy", "tables")):
         return act
 
 
-SolveResult = namedtuple("SolveResult", "lam expected_value solutions strategy trace", defaults=(None,))
+SolveResult = namedtuple("SolveResult", "lam expected_value solutions strategy trace")
 
 
 class UtilityInterval(namedtuple("UtilityInterval", "decision bounds")):
@@ -89,7 +83,7 @@ def fuse(pool, variable, lam=None, policy=None):
     if not touched:
         raise ValnetError("no valuation in the pool mentions %r" % variable.name)
     combined, provenance = combine_all_traced(touched)
-    result, table, contributions = marginalize(combined, variable, lam=lam, policy=policy)
+    result, table = marginalize(combined, variable, lam=lam, policy=policy)
     result = result._replace(label="elim_%s" % variable.name)
     step = FusionStep(
         variable=variable.name,
@@ -98,7 +92,6 @@ def fuse(pool, variable, lam=None, policy=None):
         combined=combined,
         provenance=tuple(provenance),
         result=result,
-        contributions=tuple(contributions),
         solution=table,
     )
     return untouched + [result], step
@@ -121,24 +114,25 @@ def _check(network):
         raise NotWellDefinedError(report)
 
 
-def solve(network, lam, trace=False, policy_tables=None):
-    """Run the fusion algorithm; returns expected value, tables and strategy."""
+def _eliminate(pool, variables, lam=None, policies=None):
+    """Fuse ``variables`` away in the given order; returns (pool, steps)."""
+    steps = []
+    for variable in variables:
+        pool, step = fuse(pool, variable, lam=lam, policy=(policies or {}).get(variable.name))
+        steps.append(step)
+    return pool, tuple(steps)
+
+
+def solve(network, lam, policy_tables=None):
+    """Run the fusion algorithm; returns expected value, tables, strategy and steps."""
     lam = check_lambda(lam)
     _check(network)
-    order = elimination_order(network)
-    pool = _initial_pool(network)
-    solutions = {}
-    steps = []
-    for name in order:
-        policy = (policy_tables or {}).get(name)
-        pool, step = fuse(pool, network.by_name[name], lam=lam, policy=policy)
-        if trace:
-            steps.append(step)
-        if step.solution is not None:
-            solutions[name] = step.solution
+    order = [network.by_name[name] for name in elimination_order(network)]
+    pool, steps = _eliminate(_initial_pool(network), order, lam, policy_tables)
+    solutions = {s.variable: s.solution for s in steps if s.solution is not None}
     expected = _finish(pool)
     strategy = build_strategy(network, solutions)
-    return SolveResult(lam, expected, solutions, strategy, tuple(steps) if trace else None)
+    return SolveResult(lam, expected, solutions, strategy, steps)
 
 
 def build_strategy(network, solutions):
@@ -217,12 +211,12 @@ def oracle_solve(network, lam):
     for name in order:
         if name not in joint.domain:
             continue
-        joint, table, _ = marginalize(joint, network.by_name[name], lam=lam)
+        joint, table = marginalize(joint, network.by_name[name], lam=lam)
         if table is not None:
             solutions[name] = table
     expected = joint.value_at(DIAMOND)
     strategy = build_strategy(network, solutions)
-    return SolveResult(lam, expected, solutions, strategy, None)
+    return SolveResult(lam, expected, solutions, strategy, ())
 
 
 def canonical_parts(network):
@@ -326,11 +320,9 @@ def propagate_marginal(network, target):
         grown = not parents <= ancestral
         ancestral |= parents
     pool = [p.ballooned for p in network.potentials if p.head.name in ancestral]
-    for v in network.variables:
-        if v.name == target:
-            continue
-        if not any(v.name in val.domain for val in pool):
-            continue
-        pool, _ = fuse(pool, v)
+    # Fusion never adds a variable and removes only the one it eliminates,
+    # so the pool's variables can be read off once, up front.
+    mentioned = frozenset().union(*(p.domain for p in pool))
+    pool, _ = _eliminate(pool, [v for v in network.variables if v.name in mentioned - {target}])
     # Every variable but the target is fused away, so no domain holds another.
     return combine_all(pool)

@@ -74,28 +74,27 @@ def test_golden_wildcatter_solve(wildcatter):
 
 @criterion(2, "golden trace")
 def test_golden_trace_tables(wildcatter, capsys):
-    result = solve(wildcatter.network, 0.5, trace=True)
+    result = solve(wildcatter.network, 0.5)
     by_var = {s.variable: s for s in result.trace}
 
     # Eliminating O: three focals (masses 0.5 / 0.2 / 0.3 of the drilling
     # potential scaled into the payoff), each projecting onto the full
-    # {D, R} frame; per-focal blended contributions per configuration.
+    # {D, R} frame; a focal's blended contributions per configuration are
+    # its marginal alone.
     step = by_var["O"]
     assert len(step.combined.focals) == 3
-    contribs = {}
-    for group in step.contributions:
-        contribs.update(group)
+    o = wildcatter.network.by_name["O"]
+    contribs = [
+        marginalize(step.combined._replace(focals=(f,)), o, lam=0.5)[0].focals[0].values
+        for f in step.combined.focals
+    ]
     order = sorted(range(3), key=lambda j: len(step.combined.focals[j].support))
     first, second, third = order
     expected_first = {("re", -35000.0), ("ye", -5000.0), ("gr", 62500.0), ("nr", -35000.0)}
     expected_second = {("re", -14000.0), ("ye", -2000.0), ("gr", 25000.0), ("nr", -2000.0)}
     expected_third = {("re", -21000.0), ("ye", -3000.0), ("gr", 37500.0), ("nr", 37500.0)}
     for j, expected in ((first, expected_first), (second, expected_second), (third, expected_third)):
-        got = {
-            (dict(x)["R"], contribs[(j, x)])
-            for x in {k for (i, k) in contribs if i == j}
-            if dict(x)["D"] == "d"
-        }
+        got = {(dict(x)["R"], value) for x, value in contribs[j].items() if dict(x)["D"] == "d"}
         for r, value in expected:
             assert any(rr == r and vv == pytest.approx(value, rel=1e-6) for rr, vv in got)
 
@@ -354,3 +353,21 @@ def test_validation_mutations(tmp_path, capsys, wildcatter_text):
 
     assert main(["check", str(WILDCATTER_PATH)]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_each_combined_focal_has_one_source_and_no_table_conflicts(network_suite, wildcatter):
+    """What ``valnet solve --trace`` relies on.
+
+    A valid network's step joins at most one raw potential with results that
+    are single full-frame focals (A1, the elimination order and condition d),
+    so each combined focal comes from one focal per input, and no decision
+    table records per-focal preferences that conflict.
+    """
+    steps = 0
+    for net in network_suite + [wildcatter.network]:
+        for lam in (0.0, 0.5, 1.0):
+            for step in solve(net, lam).trace:
+                assert all(len(sources) == 1 for sources in step.provenance)
+                assert step.solution is None or not step.solution.conflicts
+                steps += 1
+    assert steps > 1000

@@ -234,7 +234,7 @@ class TestEdgeBits:
         v = make_utility([D, R], {
             cfg(D=d, R=r): value for d in D.frame for r, value in zip(R.frame, rows[d])
         })
-        _, table, _ = marginalize(v, D)
+        _, table = marginalize(v, D)
         assert table.conflicts == frozenset()
         # The tie at gr goes to the first act of the frame.
         assert table.choices == {
@@ -252,7 +252,7 @@ class TestMarginalizeDecision:
     def test_wildcatter_drill_choice(self, wild):
         _, utilities, potentials = wild
         joint = combine(potentials["oil"], utilities["pay"])
-        after_o, _, _ = marginalize(joint, random_var("O", ("dr", "we", "so")), lam=0.5)
+        after_o, _ = marginalize(joint, random_var("O", ("dr", "we", "so")), lam=0.5)
         assert after_o.kind == "utility"
         tau = after_o.focals[0].values
         assert tau[cfg(D="d", R="re")] == pytest.approx(-70000.0)
@@ -261,7 +261,7 @@ class TestMarginalizeDecision:
         assert tau[cfg(D="d", R="nr")] == pytest.approx(500.0)
         assert tau[cfg(D="~d", R="re")] == pytest.approx(0.0)
 
-        after_d, table, _ = marginalize(after_o, D)
+        after_d, table = marginalize(after_o, D)
         values = after_d.focals[0].values
         assert values[cfg(R="gr")] == pytest.approx(125000.0)
         assert values[cfg(R="nr")] == pytest.approx(500.0)
@@ -292,7 +292,7 @@ class TestMarginalizeDecision:
                 (frozenset(f2), f2),
             ],
         )
-        out, table, _ = marginalize(v, D)
+        out, table = marginalize(v, D)
         # Each focal contributes its own maximum: 1 from the first, 5 from
         # the second, even though no single act attains both.
         assert out.value_at(cfg(R="re")) == pytest.approx(6.0)
@@ -320,9 +320,9 @@ class TestMarginalizeDecision:
             [D, R],
             {cfg(D=d, R=r): (1.0 if d == "d" else -1.0) for d in D.frame for r in R.frame},
         )
-        _, table, _ = marginalize(v, D)
+        _, table = marginalize(v, D)
         forced = type(table)("D", table.context, {c: "~d" for c in table.choices})
-        out, none_table, _ = marginalize(v, D, policy=forced)
+        out, none_table = marginalize(v, D, policy=forced)
         assert none_table is None
         assert out.value_at(cfg(R="re")) == pytest.approx(-1.0)
 
@@ -332,7 +332,7 @@ class TestMarginalizeRandom:
         a = random_var("A", ("a1", "a2"))
         v = make_utility([a], {cfg(A="a1"): 2.0, cfg(A="a2"): 10.0})
         for lam in (0.0, 0.25, 0.5, 1.0):
-            out, _, _ = marginalize(v, a, lam=lam)
+            out, _ = marginalize(v, a, lam=lam)
             assert out.value_at(()) == pytest.approx(lam * 10.0 + (1 - lam) * 2.0)
 
     def test_value_is_linear_in_lambda(self, wild):
@@ -419,7 +419,7 @@ class TestMarginalizeBelief:
         a = random_var("A", ("a1", "a2"))
         b = random_var("B", ("b1", "b2"))
         v = make_bpa([a, b], [(cset({"A": "a1", "B": "b1"}), 1.0)])
-        out, table, _ = marginalize(v, b, lam=0.5)
+        out, table = marginalize(v, b, lam=0.5)
         assert table is None
         assert out.kind == "belief"
         assert out.focals[0].support == cset({"A": "a1"})

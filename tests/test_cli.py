@@ -9,7 +9,7 @@ import types
 import pytest
 
 from valnet import calculus, valuation
-from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, build_parser, main
+from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_SOLVER, build_parser, main
 
 from conftest import ROOT, WILDCATTER_PATH
 
@@ -105,6 +105,28 @@ class TestSolve:
         assert "step 2: eliminate D (decision)" in out
         assert "Psi[D]" in out
         assert "62500" in out  # a per-focal contribution from the first step
+
+    def test_trace_matches_the_golden_bytes(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "valnet.cli", "solve", str(WILDCATTER_PATH), "--trace"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == (ROOT / "tests" / "golden" / "wildcatter_trace.out").read_bytes()
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # As in ``valnet solve --trace | head``, once head has exited.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "valnet.cli", "solve", str(WILDCATTER_PATH), "--trace"],
+                env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=write, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_PIPE
+        assert proc.stderr == b""
 
     def test_rejects_lambda_outside_range(self, capsys):
         with pytest.raises(SystemExit) as exc:

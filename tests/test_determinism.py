@@ -54,15 +54,15 @@ def tied_network():
 
 
 def results_digest(count=50, lams=(0.0, 0.3, 1.0)):
-    """Digest of ``solve(..., trace=True)`` on the first acceptance-suite networks
+    """Digest of ``solve`` and its steps on the first acceptance-suite networks
     and of ``propagate_marginal`` to every variable of belief-only networks."""
     rng = random.Random(20260823)
     digest = hashlib.sha256()
     for net in [random_network(rng) for _ in range(count)] + [tied_network()]:
         for lam in lams:
-            r = solve(net, lam, trace=True)
+            r = solve(net, lam)
             steps = [
-                (i, s.variable, s.combined, s.provenance, s.result, s.contributions, s.solution)
+                (i, s.variable, s.combined, s.provenance, s.result, s.solution)
                 for i, s in enumerate(r.trace, 1)
             ]
             record = (r.expected_value, r.solutions, r.strategy.tables, steps)

@@ -98,7 +98,7 @@ class TestWildcatter:
             assert fused.strategy.decide("T", {}) == joint.strategy.decide("T", {})
 
     def test_trace_steps(self, wildcatter):
-        result = solve(wildcatter.network, 0.5, trace=True)
+        result = solve(wildcatter.network, 0.5)
         assert [s.variable for s in result.trace] == ["O", "D", "R", "T"]
         assert [s.kind for s in result.trace] == [
             "random", "decision", "random", "decision",
@@ -142,12 +142,10 @@ class TestAgainstOracle:
                 assert fused.expected_value == pytest.approx(
                     joint.expected_value, rel=1e-6, abs=1e-9
                 )
-                # Tracing only keeps the steps; the solve itself is the same.
-                traced = solve(net, lam, trace=True)
-                assert traced.expected_value == fused.expected_value
-                assert traced.solutions == fused.solutions
-                assert traced.strategy.tables == fused.strategy.tables
-                assert len(traced.trace) == len(elimination_order(net))
+                # Every step is kept, one per variable in elimination order;
+                # the joint path has none.
+                assert [s.variable for s in fused.trace] == list(elimination_order(net))
+                assert joint.trace == ()
 
     def test_strategy_replay_is_optimal(self):
         rng = random.Random(103)
