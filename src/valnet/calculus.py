@@ -17,7 +17,7 @@ import operator
 from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
-from .model import DIAMOND, RANDOM, Variable, concat_configs, make_config, project_config
+from .model import DIAMOND, RANDOM, Variable
 from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, canonical_focals
 
 CONFLICT_TOL = 1e-12
@@ -241,9 +241,9 @@ def marginalize(v, variable, lam=None, policy=None):
     focals with equal projected supports add up into one result focal.  At a
     projected configuration each source focal contributes its mass (belief
     valuations), the maximum of its values there (decision variables; a
-    ``policy`` table picks the act instead, and otherwise the best acts are
-    recorded in a solution table) or the lambda-weighted blend of that
-    maximum and minimum (random variables).
+    ``policy`` table picks the act instead, and a focal without that act raises
+    ``SolverError``; otherwise the best acts are recorded in a solution table)
+    or the lambda-weighted blend of that maximum and minimum (random variables).
 
     Returns (valuation, solution table or None).
     """
@@ -274,27 +274,41 @@ def marginalize(v, variable, lam=None, policy=None):
     scores = {}
     focal_prefs = {}
     focals = []
+    forcing = is_dec and policy is not None
+    context = _projector(sorted(rest), policy.context) if forcing else None
     # The groups are distinct supports: sorting them and dropping zero-mass
     # belief focals is all that canonical_focals would add.
     for support in sorted(groups, key=sorted) if len(groups) > 1 else groups:
         values = {}
         for x in support:
             total = 0.0
+            if forcing:
+                forced = policy.choices.get(context(x))
+                if forced is None:
+                    raise SolverError(
+                        "the policy for %r has no act for the context %r" % (name, context(x))
+                    )
             for mass, slices in groups[support]:
                 ext = slices[x]
                 if belief:
                     contrib = mass
-                elif is_dec and policy is not None:
-                    contrib = _policy_value(ext, x, name, policy)
                 elif is_dec:
                     # x and an act determine the configuration: one value per act.
                     peaks = {y[pos][1]: val for y, val in ext.items()}
-                    contrib = max(peaks.values())
-                    acts = scores.setdefault(x, {})
-                    for act, val in peaks.items():
-                        acts[act] = acts.get(act, 0.0) + val
-                    if len(v.focals) > 1:  # one focal cannot conflict with itself
-                        focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
+                    if forcing:
+                        if forced not in peaks:
+                            raise SolverError(
+                                "a focal has no value at %r for %r = %r, the act the policy forces"
+                                % (x, name, forced)
+                            )
+                        contrib = peaks[forced]
+                    else:
+                        contrib = max(peaks.values())
+                        acts = scores.setdefault(x, {})
+                        for act, val in peaks.items():
+                            acts[act] = acts.get(act, 0.0) + val
+                        if len(v.focals) > 1:  # one focal cannot conflict with itself
+                            focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
                 else:
                     contrib = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
                 total += contrib
@@ -322,13 +336,3 @@ def _best_act(acts, frame):
             return act
     raise SolverError("no act attains the maximum value; the values are not all finite")
 
-
-def _policy_value(ext, x, name, policy):
-    """Value of the extension picked by a stored solution table, 0 if absent."""
-    ctx = frozenset(policy.context)
-    key = project_config(x, ctx & frozenset(n for n, _ in x))
-    act = policy.choices.get(key)
-    if act is None:
-        raise SolverError("the policy for %r has no act for the context %r" % (name, key))
-    y = concat_configs(x, make_config({name: act}))
-    return ext.get(y, 0.0)

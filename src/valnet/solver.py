@@ -20,10 +20,12 @@ from .calculus import (
     marginalize_belief,  # not called here; the benchmark's tracer wraps this name
 )
 from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError
-from .model import DIAMOND, DECISION, RANDOM, all_configs, make_config
+from .model import DIAMOND, DECISION, all_configs, make_config
 from .network import elimination_order, validate
 
 ORACLE_GUARD = 10 ** 6
+# Most entries that ``build_strategy`` enumerates over all decisions.
+STRATEGY_LIMIT = 10 ** 5
 
 
 class FusionStep(namedtuple("FusionStep", "variable kind inputs combined provenance result solution")):
@@ -35,7 +37,8 @@ class FusionStep(namedtuple("FusionStep", "variable kind inputs combined provena
 class Strategy(namedtuple("Strategy", "tables")):
     """An act for every decision variable as a function of earlier randoms.
 
-    ``tables`` maps a decision name to (tuple of random names, {Config: act}).
+    ``tables`` maps a decision name to (tuple of random names, {Config: act}),
+    where the act is None for a context without mass.
     """
 
     __slots__ = ()
@@ -43,21 +46,26 @@ class Strategy(namedtuple("Strategy", "tables")):
     def decide(self, decision, assignment):
         """Act for a decision given a {random variable: value} assignment.
 
-        Raises NetworkError for a decision without a table and
-        DomainMismatchError for a missing or out-of-frame value.
+        Raises NetworkError for a decision without a table,
+        DomainMismatchError for a missing or out-of-frame value and
+        SolverError for a context without mass.
         """
         if decision not in self.tables:
             raise NetworkError("the strategy has no table for %r" % decision)
         names, mapping = self.tables[decision]
         values = {n: assignment.get(n) for n in names}
-        act = mapping.get(make_config(values))
-        if act is None:
+        key = make_config(values)
+        if key not in mapping:
             frames = {n: sorted({dict(x)[n] for x in mapping}) for n in names}
             bad = next(n for n in names if values[n] not in frames[n])
             raise DomainMismatchError(
                 "deciding %r needs %r in %r, got %r" % (decision, bad, frames[bad], values[bad])
             )
-        return act
+        if mapping[key] is None:
+            raise SolverError(
+                "the strategy has no act for %r at %r, a context without mass" % (decision, key)
+            )
+        return mapping[key]
 
 
 SolveResult = namedtuple("SolveResult", "lam expected_value solutions strategy trace")
@@ -127,64 +135,47 @@ def solve(network, lam, policy_tables=None):
     """Run the fusion algorithm; returns expected value, tables, strategy and steps."""
     lam = check_lambda(lam)
     _check(network)
-    order = [network.by_name[name] for name in elimination_order(network)]
-    pool, steps = _eliminate(_initial_pool(network), order, lam, policy_tables)
+    order = elimination_order(network)
+    variables = [network.by_name[name] for name in order]
+    pool, steps = _eliminate(_initial_pool(network), variables, lam, policy_tables)
     solutions = {s.variable: s.solution for s in steps if s.solution is not None}
     expected = _finish(pool)
-    strategy = build_strategy(network, solutions)
+    # A forced decision records no table; its policy stands in for it.
+    strategy = build_strategy(network, {**(policy_tables or {}), **solutions}, order)
     return SolveResult(lam, expected, solutions, strategy, steps)
 
 
-def build_strategy(network, solutions):
+def build_strategy(network, solutions, order):
     """Compose solution tables into per-decision maps over preceding randoms.
 
-    A decision variable appearing in another's context is resolved through its
-    own table, so the final maps range over random variables only.
+    Decisions are taken in reverse elimination order, so every decision in a
+    table's context already has its map.  A decision's map ranges over the
+    randoms of its context and of those maps, and gives the table's act, or
+    None for a context the table has no act for (one without mass).  Maps of
+    more than ``STRATEGY_LIMIT`` entries in all raise ``SolverError`` before
+    the map that would pass the limit is enumerated.
     """
-    kind_of = {v.name: v.kind for v in network.variables}
-
-    needed = {}
-
-    def randoms_needed(d):
-        if d in needed:
-            return needed[d]
-        out = set()
-        table = solutions.get(d)
-        if table is not None:
-            for n in table.context:
-                if kind_of[n] == RANDOM:
-                    out.add(n)
-                else:
-                    out |= randoms_needed(n)
-        needed[d] = out
-        return out
-
-    def resolve(d, assignment):
-        table = solutions[d]
-        values = {}
-        for n in table.context:
-            if kind_of[n] == RANDOM:
-                values[n] = assignment[n]
-            else:
-                values[n] = resolve(n, assignment)
-        key = make_config(values)
-        act = table.choices.get(key)
-        if act is None:
-            # A context to which the joint valuation gives no mass has no
-            # entry; oracle_solve leaves the wildcatter's D at R=nr, T=t so.
-            act = network.by_name[d].frame[0]
-        return act
-
-    tables = {}
-    for v in network.variables:
-        if v.kind != DECISION or v.name not in solutions:
+    tables, total = {}, 0
+    for name in reversed(order):
+        table = solutions.get(name)
+        if table is None:
             continue
-        names = tuple(sorted(randoms_needed(v.name), key=lambda n: network.decl_index[n]))
+        earlier = {n: tables[n] for n in table.context if network.by_name[n].kind == DECISION}
+        randoms = set(table.context).difference(earlier).union(*(r for r, _ in earlier.values()))
+        names = tuple(sorted(randoms, key=network.decl_index.__getitem__))
+        total += math.prod(len(network.frames[n]) for n in names)
+        if total > STRATEGY_LIMIT:
+            raise SolverError(
+                "the strategy would hold %d entries with the map for %r, more than the limit of %d"
+                % (total, name, STRATEGY_LIMIT)
+            )
         mapping = {}
         for cfg in all_configs(names, network.frames):
-            assignment = dict(cfg)
-            mapping[cfg] = resolve(v.name, assignment)
-        tables[v.name] = (names, mapping)
+            values = dict(cfg)
+            for n, (inner, acts) in earlier.items():
+                values[n] = acts[make_config({k: values[k] for k in inner})]
+            mapping[cfg] = table.choices.get(make_config({n: values[n] for n in table.context}))
+        tables[name] = (names, mapping)
     return Strategy(tables)
 
 
@@ -215,7 +206,7 @@ def oracle_solve(network, lam):
         if table is not None:
             solutions[name] = table
     expected = joint.value_at(DIAMOND)
-    strategy = build_strategy(network, solutions)
+    strategy = build_strategy(network, solutions, order)
     return SolveResult(lam, expected, solutions, strategy, ())
 
 

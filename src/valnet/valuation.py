@@ -170,7 +170,7 @@ def make_utility(variables, table, label=""):
     # Counted first, so that a short table never builds the frame product.
     if len(table) < size or table.keys() != (expected := set(all_configs(domain, frames))):
         raise _coverage_error(label, sorted(domain), frames, table, size)
-    values = {x: float(v) for x, v in table.items()}
+    values = {x: float(v) + 0.0 for x, v in table.items()}  # -0.0 becomes 0.0
     bad = sorted(x for x, v in values.items() if not math.isfinite(v))
     if bad:
         raise UtilityError("utility values are not finite at %r" % (bad,))

@@ -199,6 +199,32 @@ def exhaustive_max(net):
     return best
 
 
+def decision_chain(n):
+    """Problem text D1 -> R1 -> D2 -> ... -> Dn -> Rn, each utility on {D(k-1), R(k-1), Dk}.
+
+    Every fusion step is small, but Dk's strategy map ranges over R1 ... R(k-1),
+    so the strategy holds 2^n - 1 entries.
+    """
+    rows = "; ".join(
+        "%s %s %s = %d" % (d0, r, d, (i * 7) % 5 - 2)
+        for i, (d0, r, d) in enumerate((d0, r, d) for d0 in "ab" for r in "xy" for d in "ab")
+    )
+    declarations = []
+    statements = ["utility u1 on {D1} { a = 1; b = 0 }"]
+    for k in range(1, n + 1):
+        declarations += ["decision D%d { a, b }" % k, "random R%d { x, y }" % k]
+        statements += [
+            "prec D%d -> R%d" % (k, k),
+            "bpa p%d on {R%d | D%d} { a : {x} = 0.5; a : {x, y} = 0.5; b : {y} = 1 }" % (k, k, k),
+        ]
+        if k > 1:
+            statements += [
+                "prec R%d -> D%d" % (k - 1, k),
+                "utility u%d on {D%d, R%d, D%d} { %s }" % (k, k - 1, k - 1, k, rows),
+            ]
+    return "\n".join(declarations + statements + ["lambda = 0.5", ""])
+
+
 VALUE_RTOL = 1e-6
 
 

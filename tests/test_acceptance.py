@@ -206,6 +206,14 @@ def test_fusion_equals_joint_elimination(network_suite):
             )
 
 
+def test_solve_strategies_have_an_act_everywhere(network_suite, wildcatter):
+    # So the CLI, which prints only solve's strategies, never meets a context without mass.
+    for net in network_suite + [wildcatter.network]:
+        for lam in (0.0, 0.5, 1.0):
+            tables = solve(net, lam).strategy.tables
+            assert all(act is not None for _, mapping in tables.values() for act in mapping.values())
+
+
 @criterion(5, "lambda monotonicity")
 def test_lambda_monotonicity(network_suite):
     grid = [i / 10 for i in range(11)]

@@ -326,6 +326,15 @@ class TestMarginalizeDecision:
         assert none_table is None
         assert out.value_at(cfg(R="re")) == pytest.approx(-1.0)
 
+    def test_policy_act_missing_from_a_focal_raises(self):
+        # The only focal holds D=d at R=re, so forcing ~d there has no value to take.
+        bpa = make_bpa([D, R], [(cset({"D": "d", "R": "re"}), 1.0)])
+        v = combine(bpa, make_utility([D, R], {cfg(D=d, R=r): 1.0 for d in D.frame for r in R.frame}))
+        _, table = marginalize(v, D)
+        forced = table._replace(choices={c: "~d" for c in table.choices})
+        with pytest.raises(SolverError, match=r"no value at \(\('R', 're'\),\) for 'D' = '~d'"):
+            marginalize(v, D, policy=forced)
+
 
 class TestMarginalizeRandom:
     def test_lambda_blend(self):

@@ -8,10 +8,11 @@ import types
 
 import pytest
 
-from valnet import calculus, valuation
+from valnet import calculus, solver, valuation
 from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_SOLVER, build_parser, main
 
 from conftest import ROOT, WILDCATTER_PATH
+from netgen import decision_chain
 
 SRC = ROOT / "src"
 
@@ -235,6 +236,23 @@ def test_negative_zero_lambda_is_zero(capsys, tmp_path, wildcatter_text, argv, t
     code, out, err = run(capsys, *argv, str(path))
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines()[1 if argv[0] == "sweep" else 0].startswith(line)
+
+
+def test_negative_zero_utility_traces_as_zero(capsys, tmp_path, wildcatter_text):
+    path = write(tmp_path, wildcatter_text.replace("~t = 0 }", "~t = -0.0 }"))
+    code, out, err = run(capsys, "solve", "--trace", path)
+    assert (code, err) == (EXIT_OK, "")
+    assert "-0" not in out.split()
+
+
+def test_strategy_past_the_limit_is_a_solver_error(capsys, tmp_path):
+    # 2^22 - 1 entries; the map for D17 would pass the limit, so none past it is built.
+    code, out, err = run(capsys, "solve", write(tmp_path, decision_chain(22)))
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert err == (
+        "solver error: the strategy would hold 131071 entries with the map for 'D17', "
+        "more than the limit of %d\n" % solver.STRATEGY_LIMIT
+    )
 
 
 class TestMarginal:

@@ -24,6 +24,7 @@ from valnet import (
     make_config,
     make_utility,
     oracle_solve,
+    parse_problem,
     propagate_marginal,
     random_var,
     solve,
@@ -33,6 +34,7 @@ from valnet import solver
 from valnet.calculus import combine_all, marginalize_belief
 
 from netgen import (
+    decision_chain,
     exhaustive_max,
     random_canonical,
     random_network,
@@ -113,6 +115,40 @@ class TestWildcatter:
         assert evaluate_strategy(wildcatter.network, 0.5, result) == pytest.approx(
             result.expected_value
         )
+
+
+class TestStrategy:
+    def test_oracle_maps_a_context_without_mass_to_none(self, wildcatter):
+        strategy = oracle_solve(wildcatter.network, 0.5).strategy
+        _, mapping = strategy.tables["D"]
+        assert [x for x, act in mapping.items() if act is None] == [cfg(R="nr")]
+        with pytest.raises(SolverError, match=r"no act for 'D' at \(\('R', 'nr'\),\)"):
+            strategy.decide("D", {"R": "nr"})
+
+    def test_forcing_some_decisions_composes_their_policies(self):
+        # D1 is in D2's and D3's contexts; forcing it once raised a KeyError.
+        net = parse_problem(decision_chain(3)).network
+        result = solve(net, 0.5)
+        partial = solve(net, 0.5, policy_tables={"D1": result.solutions["D1"]})
+        assert partial.expected_value == result.expected_value
+        assert partial.strategy == result.strategy
+        assert solve(net, 0.5, policy_tables=result.solutions).strategy == result.strategy
+
+    def test_forcing_every_decision_keeps_the_strategy(self):
+        rng = random.Random(109)
+        for _ in range(25):
+            net = random_network(rng)
+            result = solve(net, 0.4)
+            assert solve(net, 0.4, policy_tables=result.solutions).strategy == result.strategy
+
+    def test_strategy_limit_counts_every_map(self, monkeypatch):
+        # The maps of D1 ... D4 hold 1, 2, 4 and 8 entries.
+        net = parse_problem(decision_chain(4)).network
+        monkeypatch.setattr(solver, "STRATEGY_LIMIT", 15)
+        assert sum(len(m) for _, m in solve(net, 0.5).strategy.tables.values()) == 15
+        monkeypatch.setattr(solver, "STRATEGY_LIMIT", 14)
+        with pytest.raises(SolverError, match="would hold 15 entries with the map for 'D4'"):
+            solve(net, 0.5)
 
 
 class TestFuse:
