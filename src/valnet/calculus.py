@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
+from functools import reduce
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
 from .model import DIAMOND, RANDOM, Variable
@@ -139,6 +140,7 @@ def combine_all_traced(valuations):
     order = [i for i, v in enumerate(valuations) if v.kind != BELIEF]
     n_others = len(order)
     order += [i for i, v in enumerate(valuations) if v.kind == BELIEF]
+    restore = sorted(range(len(order)), key=order.__getitem__)  # combination to argument order
     inputs = [valuations[i] for i in order]
     others, beliefs = inputs[:n_others], inputs[n_others:]
     union = frozenset().union(*(v.domain for v in inputs))
@@ -155,7 +157,7 @@ def combine_all_traced(valuations):
     belief_joints = _joint_supports(parts[n_others:], domains[n_others:])
     masses = [[f.mass for f in v.focals] for v in beliefs]
     clashes = [
-        math.prod(m[i] for m, i in zip(masses, combo))
+        math.prod(map(list.__getitem__, masses, combo))
         for combo in itertools.product(*map(range, map(len, masses)))
         if combo not in belief_joints
     ]
@@ -175,7 +177,7 @@ def combine_all_traced(valuations):
     projectors = [_projector(sorted(union), v.domain) for v in others]
     accum, provenance = {}, {}
     for combo, members in joints.items():
-        mass = math.prod(m[i] for m, i in zip(masses, combo[n_others:])) / norm
+        mass = math.prod(map(list.__getitem__, masses, combo[n_others:])) / norm
         joint = frozenset(members)
         if others:
             adds = [(p, v.focals[i].values) for p, v, i in zip(projectors, others, combo)]
@@ -189,7 +191,7 @@ def combine_all_traced(valuations):
         else:
             values = mass
         accum.setdefault(joint, []).append(values)
-        provenance.setdefault(joint, []).append(tuple(i for _, i in sorted(zip(order, combo))))
+        provenance.setdefault(joint, []).append(tuple(map(combo.__getitem__, restore)))
 
     if not accum:
         raise TotalConflictError("no joint focal has a nonempty support")
@@ -257,19 +259,21 @@ def marginalize(v, variable, lam=None, policy=None):
         lam = check_lambda(lam)
     frames = {n: f for n, f in v.frames.items() if n in rest}
 
-    # Split each focal by projection, then group focals by projected support;
-    # the first focal's set is the group's key and its support.  A belief
-    # focal's mass is read once here.
+    # Group focals by projected support; the first focal's set is the group's
+    # key and its support.  A belief focal brings only its mass, read once
+    # here; any other is split by projection.
     domain = sorted(v.domain)
     project, pos = _projector(domain, rest), domain.index(name)
     groups = {}
     for f in v.focals:
-        slices = {}
-        for y in f.support:
-            slices.setdefault(project(y), {})[y] = f.values[y]
+        if belief:
+            slices = dict.fromkeys(map(project, f.support))
+        else:
+            slices = {}
+            for y in f.support:
+                slices.setdefault(project(y), {})[y] = f.values[y]
         # keys(): frozenset(dict) presizes, so the set would iterate in another order.
-        mass = f.mass if belief else None
-        groups.setdefault(frozenset(slices.keys()), []).append((mass, slices))
+        groups.setdefault(frozenset(slices.keys()), []).append(f.mass if belief else slices)
 
     scores = {}
     focal_prefs = {}
@@ -279,6 +283,11 @@ def marginalize(v, variable, lam=None, policy=None):
     # The groups are distinct supports: sorting them and dropping zero-mass
     # belief focals is all that canonical_focals would add.
     for support in sorted(groups, key=sorted) if len(groups) > 1 else groups:
+        if belief:  # a plain left fold: sum() compensates float rounding from Python 3.12
+            values = dict.fromkeys(support, reduce(operator.add, groups[support], 0.0))
+            if any(values.values()):
+                focals.append(Focal(support, _finite(values, "marginal value")))
+            continue
         values = {}
         for x in support:
             total = 0.0
@@ -288,11 +297,9 @@ def marginalize(v, variable, lam=None, policy=None):
                     raise SolverError(
                         "the policy for %r has no act for the context %r" % (name, context(x))
                     )
-            for mass, slices in groups[support]:
+            for slices in groups[support]:
                 ext = slices[x]
-                if belief:
-                    contrib = mass
-                elif is_dec:
+                if is_dec:
                     # x and an act determine the configuration: one value per act.
                     peaks = {y[pos][1]: val for y, val in ext.items()}
                     if forcing:
@@ -313,8 +320,6 @@ def marginalize(v, variable, lam=None, policy=None):
                     contrib = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
                 total += contrib
             values[x] = total
-        if belief and all(m == 0 for m in values.values()):
-            continue
         focals.append(Focal(support, _finite(values, "marginal value")))
 
     kind = BELIEF if belief else _nonbelief_kind(rest, frames, focals)

@@ -11,6 +11,7 @@ where a set enters the program (``make_bpa``, ``belief_of``).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 
 from .errors import DomainMismatchError, NetworkError
@@ -58,6 +59,14 @@ def random_var(name, frame):
 def make_config(values):
     """Build a canonical configuration from a {variable: value} mapping."""
     return tuple(sorted(values.items()))
+
+
+def config_maker(names):
+    """Function from values listed in the order of ``names`` to their configuration."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    pick = operator.itemgetter(*order) if len(order) > 1 else tuple
+    sorted_names = [names[i] for i in order]
+    return lambda values: tuple(zip(sorted_names, pick(values)))
 
 
 def project_config(x, h):

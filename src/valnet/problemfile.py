@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from collections import namedtuple
 
 from .calculus import check_lambda
 from .errors import ProblemFormatError, SolverError, ValnetError
-from .model import Variable, make_config
+from .model import Variable, config_maker
 from .network import Network
 from .valuation import conditional, make_utility
 
@@ -70,7 +69,7 @@ def _statements(text):
 
 
 def _split_list(body):
-    return [t.strip() for t in body.split(",") if t.strip()]
+    return [t for t in map(str.strip, body.split(",")) if t]
 
 
 def _parse_number(token, lineno, what="number"):
@@ -178,15 +177,12 @@ def _parse_utility(b, stmt, lineno):
     b.claim_label(label, lineno)
     names = _split_list(var_body)
     variables = [b.need_var(n, lineno) for n in names]
-    # Value tokens in the statement's variable order -> configuration.
-    order = sorted(range(len(names)), key=names.__getitem__)
-    pick = operator.itemgetter(*order) if len(order) > 1 else tuple
-    sorted_names = sorted(names)
+    to_config = config_maker(names)
     entries = _entries(body)
     size = math.prod(len(v.frame) for v in variables)
     # A table too short to be complete never builds the frame product.
     lookup = {} if size > len(entries) else {
-        tokens: tuple(zip(sorted_names, pick(tokens)))
+        tokens: to_config(tokens)
         for tokens in itertools.product(*(v.frame for v in variables))
     }
     table = {}
@@ -204,7 +200,7 @@ def _parse_utility(b, stmt, lineno):
                 )
             for v, t in zip(variables, tokens):
                 b.need_value(v, t, lineno)
-            cfg = tuple(zip(sorted_names, pick(tokens)))
+            cfg = to_config(tokens)
         if cfg in table:
             raise ProblemFormatError("duplicate utility entry %r" % entry, lineno)
         table[cfg] = _parse_number(m2.group(2), lineno, "utility value")
@@ -220,6 +216,7 @@ def _parse_bpa(b, stmt, lineno):
     head = b.need_var(head_name, lineno)
     parent_names = _split_list(parent_body or "")
     parents = [b.need_var(n, lineno) for n in parent_names]
+    to_config = config_maker(parent_names)
     tables = {}
     for entry in _entries(body):
         m2 = _BPA_ENTRY.fullmatch(entry)
@@ -231,9 +228,9 @@ def _parse_bpa(b, stmt, lineno):
                 "bpa entry %r needs one value per parent of %r" % (entry, parent_names),
                 lineno,
             )
-        cfg = make_config(
-            {p.name: b.need_value(p, t, lineno) for p, t in zip(parents, ptokens)}
-        )
+        for p, t in zip(parents, ptokens):
+            b.need_value(p, t, lineno)
+        cfg = to_config(ptokens)
         subset = frozenset(
             b.need_value(head, t, lineno) for t in _split_list(m2.group(2))
         )

@@ -153,15 +153,15 @@ def build_strategy(network, solutions, order):
     randoms of its context and of those maps, and gives the table's act, or
     None for a context the table has no act for (one without mass).  Maps of
     more than ``STRATEGY_LIMIT`` entries in all raise ``SolverError`` before
-    the map that would pass the limit is enumerated.
+    any map is enumerated, since their sizes follow from the tables alone.
     """
-    tables, total = {}, 0
+    plans, tables, total = {}, {}, 0
     for name in reversed(order):
         table = solutions.get(name)
         if table is None:
             continue
-        earlier = {n: tables[n] for n in table.context if network.by_name[n].kind == DECISION}
-        randoms = set(table.context).difference(earlier).union(*(r for r, _ in earlier.values()))
+        earlier = [n for n in table.context if network.by_name[n].kind == DECISION]
+        randoms = set(table.context).difference(earlier).union(*(plans[n][1] for n in earlier))
         names = tuple(sorted(randoms, key=network.decl_index.__getitem__))
         total += math.prod(len(network.frames[n]) for n in names)
         if total > STRATEGY_LIMIT:
@@ -169,10 +169,13 @@ def build_strategy(network, solutions, order):
                 "the strategy would hold %d entries with the map for %r, more than the limit of %d"
                 % (total, name, STRATEGY_LIMIT)
             )
+        plans[name] = (table, names, earlier)
+    for name, (table, names, earlier) in plans.items():
         mapping = {}
         for cfg in all_configs(names, network.frames):
             values = dict(cfg)
-            for n, (inner, acts) in earlier.items():
+            for n in earlier:
+                inner, acts = tables[n]
                 values[n] = acts[make_config({k: values[k] for k in inner})]
             mapping[cfg] = table.choices.get(make_config({n: values[n] for n in table.context}))
         tables[name] = (names, mapping)

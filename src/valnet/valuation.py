@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
+from itertools import chain
 
 from .errors import DomainMismatchError, KindError, MassError, NetworkError, SolverError, UtilityError
-from .model import DIAMOND, Variable, all_configs, concat_configs, iter_configs, make_config
+from .model import DIAMOND, Variable, all_configs, iter_configs, make_config
 
 BELIEF = "belief"
 UTILITY = "utility"
@@ -35,7 +37,7 @@ class Focal(namedtuple("Focal", "support values")):
     def __new__(cls, support, values):
         if values.keys() != support:
             raise DomainMismatchError("focal values must cover exactly the support")
-        return super().__new__(cls, support, values)
+        return tuple.__new__(cls, (support, values))  # as namedtuple's own __new__, one call less
 
     # ``_replace`` builds through ``_make``, which would skip ``__new__``.
     _make = classmethod(lambda cls, it: cls(*it))
@@ -90,7 +92,7 @@ def canonical_focals(items, kind):
     focals = []
     for support in sorted(merged, key=sorted) if len(merged) > 1 else merged:
         values = merged[support]
-        if kind == BELIEF and all(v == 0 for v in values.values()):
+        if kind == BELIEF and not any(values.values()):
             continue
         focals.append(Focal(support, values))
     return tuple(focals)
@@ -228,10 +230,9 @@ def is_conditional(v, head_name):
     if head_name not in v.domain:
         raise DomainMismatchError("%r is not in the valuation's domain" % head_name)
     size = math.prod(len(v.frames[n]) for n in v.domain if n != head_name)
-    return all(
-        len({tuple(pair for pair in x if pair[0] != head_name) for x in f.support}) == size
-        for f in v.focals
-    )
+    at = sorted(v.domain).index(head_name)
+    drop_head = operator.itemgetter(slice(at), slice(at + 1, None))
+    return all(len(set(map(drop_head, f.support))) == size for f in v.focals)
 
 
 class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tables ballooned label")):
@@ -240,8 +241,10 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
     ``tables`` maps parent configurations (or tuples of parent values) to
     (head-value subset, mass) pairs.  Each focal of the joint bpa ``ballooned``
     picks one focal per parent configuration: its support is the union of the
-    picked slices, its mass their product.  More than ``BALLOON_LIMIT`` picks
-    raise ``SolverError`` before any is made.
+    picked slices, its mass their product.  Each entry's slice is built once:
+    a cell per value of its subset, with ``(head, value)`` inserted into the
+    parent configuration at the head's place in name order, so no cell is
+    sorted.  More than ``BALLOON_LIMIT`` picks raise ``SolverError`` before any pick.
     """
 
     __slots__ = ()
@@ -279,24 +282,26 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
                         "focal %r is not a subset of the frame of %r" % (sorted(subset), head.name),
                     )
             _check_bpa_masses(entries, label, cfg)
-        per_parent = [normalized[c] for c in parent_configs]
-        combinations = math.prod(len(entries) for entries in per_parent)
+        combinations = math.prod(len(entries) for entries in normalized.values())
         if combinations > BALLOON_LIMIT:
             raise SolverError(
                 "ballooning %r would enumerate %d focal combinations, more than the limit of %d"
                 % (head.name, combinations, BALLOON_LIMIT)
             )
-        cells = [
-            {r: concat_configs(cfg, make_config({head.name: r})) for r in head.frame}
-            for cfg in parent_configs
+        at = sum(n < head.name for n in names)  # the head's place in a sorted configuration
+        per_parent = [
+            [(tuple(c[:at] + ((head.name, r),) + c[at:] for r in subset), m)
+             for subset, m in normalized[c]]
+            for c in parent_configs
         ]
         items = []
         for choice in itertools.product(*per_parent):
-            mass = math.prod(m for _, m in choice)
+            slices, masses = zip(*choice)
+            mass = math.prod(masses)
             if mass <= 0:
                 continue
-            support = frozenset(cell[r] for cell, (subset, _) in zip(cells, choice) for r in subset)
-            items.append((support, {x: mass for x in support}))
+            support = frozenset(chain(*slices))
+            items.append((support, dict.fromkeys(support, mass)))
         focals = canonical_focals(items, BELIEF)
         ballooned = Valuation(parent_names | {head.name}, frames, BELIEF, focals, label)
         return super().__new__(cls, head, parents, normalized, ballooned, label)
@@ -328,13 +333,14 @@ def _parent_tables(parents, tables):
     values (a bare value for one parent) in the order the parents are listed.
     """
     names = [p.name for p in parents]
+    name_set = set(names)
     normalized = {}
     for key, entries in tables.items():
         cfg = key
         if not (isinstance(key, tuple) and (not key or isinstance(key[0], tuple))):
             values = key if isinstance(key, tuple) else (key,)
             cfg = make_config(dict(zip(names, values))) if len(values) == len(names) else None
-        if cfg is None or set(n for n, _ in cfg) != set(names):
+        if cfg is None or {n for n, _ in cfg} != name_set:
             raise DomainMismatchError("parent key %r does not match parents %r" % (key, names))
         if cfg in normalized:
             raise DomainMismatchError("duplicate table for parent %r" % (cfg,))

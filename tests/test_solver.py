@@ -11,6 +11,7 @@ from valnet import (
     NotWellDefinedError,
     SolverError,
     ValnetError,
+    all_configs,
     bayesian_check,
     conditional,
     decision,
@@ -147,8 +148,12 @@ class TestStrategy:
         monkeypatch.setattr(solver, "STRATEGY_LIMIT", 15)
         assert sum(len(m) for _, m in solve(net, 0.5).strategy.tables.values()) == 15
         monkeypatch.setattr(solver, "STRATEGY_LIMIT", 14)
+        enumerated = []
+        spy = lambda names, frames: enumerated.append(names) or all_configs(names, frames)
+        monkeypatch.setattr(solver, "all_configs", spy)
         with pytest.raises(SolverError, match="would hold 15 entries with the map for 'D4'"):
             solve(net, 0.5)
+        assert enumerated == []  # refused before any map is built
 
 
 class TestFuse:

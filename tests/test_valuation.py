@@ -1,9 +1,12 @@
 import copy
+import itertools
 import math
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valnet import (
     DomainMismatchError,
@@ -24,9 +27,9 @@ from valnet import (
     random_var,
     vacuous,
 )
-from valnet import valuation
+from valnet import all_configs, concat_configs, valuation
 from valnet.calculus import marginalize_belief
-from valnet.valuation import Focal, is_vacuous
+from valnet.valuation import BELIEF, Focal, canonical_focals, is_vacuous
 
 from netgen import random_subsets
 
@@ -307,6 +310,60 @@ class TestBalloon:
         v = conditional(R, [T], RESULT_TABLES).ballooned
         proj = {project_config(x, {"T"}) for x in v.focals[0].support}
         assert proj == frozenset([make_config({"T": "t"}), make_config({"T": "~t"})])
+
+
+def balloon_reference(head, parents, tables):
+    """The balloon built the slow way, from its definition.
+
+    Every pick of one entry per parent configuration joins the cells of its
+    subsets, each cell sorted by ``concat_configs``; the masses multiply, and
+    ``canonical_focals`` merges equal supports and orders the focals.
+    """
+    frames = {v.name: v.frame for v in parents + [head]}
+    configs = all_configs([p.name for p in parents], frames)
+    items = []
+    for choice in itertools.product(*(tables[c] for c in configs)):
+        mass = math.prod(m for _, m in choice)
+        if mass <= 0:
+            continue
+        support = frozenset(
+            concat_configs(c, make_config({head.name: r}))
+            for c, (subset, _) in zip(configs, choice) for r in subset
+        )
+        items.append((support, {x: mass for x in support}))
+    return canonical_focals(items, BELIEF)
+
+
+@st.composite
+def balloon_tables(draw):
+    """A head, up to two parents and their tables, with repeated subsets and zero masses."""
+    names = draw(st.permutations("AHMZ"))  # the head sorts first, last or between
+    head = random_var(names[0], ["h%d" % i for i in range(draw(st.integers(1, 4)))])
+    parents = [
+        random_var(n, ["%s%d" % (n.lower(), i) for i in range(draw(st.integers(1, 3)))])
+        for n in names[1:1 + draw(st.integers(0, 2))]
+    ]
+    configs = all_configs([p.name for p in parents], {p.name: p.frame for p in parents})
+    subsets = st.sets(st.sampled_from(head.frame), min_size=1).map(frozenset)
+    tables = {}
+    for cfg in configs:
+        k = draw(st.integers(1, 3 if len(configs) <= 4 else 2))  # at most 512 picks
+        weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+        picked = draw(st.lists(subsets, min_size=k, max_size=k))
+        tables[cfg] = [(s, w / sum(weights)) for s, w in zip(picked, weights)]
+    return head, parents, tables
+
+
+@settings(deadline=None)
+@given(balloon_tables())
+def test_balloon_matches_the_reference_construction(case):
+    head, parents, tables = case
+    got = conditional(head, parents, tables).ballooned.focals
+    want = balloon_reference(head, parents, tables)
+    assert [f.support for f in got] == [f.support for f in want]
+    # The same members in the same iteration order, and bit-identical masses.
+    assert [list(f.values.items()) for f in got] == [list(f.values.items()) for f in want]
+    assert [f.mass.hex() for f in got] == [f.mass.hex() for f in want]
 
 
 class TestIsConditional:
