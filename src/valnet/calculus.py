@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
 from .model import DIAMOND, RANDOM, Variable
@@ -24,6 +24,8 @@ from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, canonical_foc
 CONFLICT_TOL = 1e-12
 # Most combinations of one focal per input that ``combine_all_traced`` joins.
 COMBINE_LIMIT = 10 ** 6
+# Most configurations that one level of a ``_joint_supports`` join may hold.
+JOIN_LIMIT = 10 ** 5
 
 
 def check_lambda(lam):
@@ -51,6 +53,12 @@ class SolutionTable(
     __slots__ = ()
 
 
+def _refuse_past(limit, count, doing):
+    """Raise ``SolverError`` if ``count`` passes ``limit``; ``doing`` has a ``%d`` for it."""
+    if count > limit:
+        raise SolverError("combining would %s, more than the limit of %d" % (doing % count, limit))
+
+
 def _merge_frames(valuations):
     frames = {}
     for v in valuations:
@@ -66,9 +74,16 @@ def _nonbelief_kind(domain, frames, focals):
     return UTILITY if len(focals) == 1 and len(focals[0].support) == full else GENERAL
 
 
+@lru_cache(maxsize=4096)
 def _projector(names, domain):
-    """Function from a tuple over ``names`` to its items over ``domain`` in name order."""
+    """Function from a tuple over ``names`` to its items over ``domain`` in name order.
+
+    All of its items in their order is the identity: a full slice hands back
+    the tuple itself, not a copy.  Each (names tuple, domain) pair is cached.
+    """
     positions = [names.index(n) for n in sorted(domain) if n in names]
+    if positions == list(range(len(names))):
+        return operator.itemgetter(slice(None))
     if len(positions) == 1:  # itemgetter would give the bare item
         return operator.itemgetter(slice(positions[0], positions[0] + 1))
     return operator.itemgetter(*positions) if positions else lambda x: DIAMOND
@@ -77,29 +92,45 @@ def _projector(names, domain):
 def _joint_supports(parts, domains):
     """Nonempty joint supports of every choice of one member set per part.
 
-    ``parts[i]`` maps index tuples to member sets over ``domains[i]``.  From the
-    diamond on, each part is hash-joined in on the shared variables, and a fixed
-    permutation puts the merged pairs into name order.  Returns {concatenated
-    index tuple: configurations over the sorted union}, in product order.
+    ``parts[i]`` maps index tuples to member sets over ``domains[i]``.  The
+    first part's sets are the first level; each further part is hash-joined
+    in: a combination's configurations are grouped by their shared key once,
+    each group meets the part's members with that key, and a fixed
+    permutation puts the merged pairs into name order.  A level whose exact
+    size, known from the groups, passes ``JOIN_LIMIT`` raises ``SolverError``
+    before it is built.  Returns {concatenated index tuple: configurations
+    over the sorted union}, in product order; no parts give the diamond.
     """
-    names, level = [], {(): [DIAMOND]}
-    for part, domain in zip(parts, domains):
-        inner = sorted(domain)
-        new = [n for n in inner if n not in names]
+    if not parts:
+        return {(): [DIAMOND]}
+    names, level = tuple(sorted(domains[0])), parts[0]
+    for part, domain in zip(parts[1:], domains[1:]):
+        inner = tuple(sorted(domain))
+        new = tuple(n for n in inner if n not in names)
         key, inner_key = _projector(names, inner), _projector(inner, names)
         extra = _projector(inner, new)
         merged = names + new
-        names = sorted(merged)
+        names = tuple(sorted(merged))
         order = _projector(merged, names) if merged != names else None
         indexes = {k: {} for k in part}
         for k, members in part.items():
             for y in members:
                 indexes[k].setdefault(inner_key(y), []).append(extra(y))
-        level = {
-            combo + k: list(map(order, out)) if order else out
-            for combo, acc in level.items() for k, index in indexes.items()
-            if (out := [z + e for z in acc for e in index.get(key(z), ())])
-        }
+        matches, size = [], 0
+        for combo, acc in level.items():
+            groups = {}
+            for z in acc:
+                groups.setdefault(key(z), []).append(z)
+            for k, index in indexes.items():
+                pairs = [(zs, es) for g, zs in groups.items() if (es := index.get(g))]
+                if pairs:
+                    matches.append((combo + k, pairs))
+                    size += sum(len(zs) * len(es) for zs, es in pairs)
+        _refuse_past(JOIN_LIMIT, size, "build %d joint configurations")
+        level = {}
+        for combo, pairs in matches:
+            out = [z + e for zs, es in pairs for z in zs for e in es]
+            level[combo] = list(map(order, out)) if order else out
     return level
 
 
@@ -146,11 +177,7 @@ def combine_all_traced(valuations):
     union = frozenset().union(*(v.domain for v in inputs))
     frames = _merge_frames(inputs)
     combinations = math.prod(len(v.focals) for v in inputs)
-    if combinations > COMBINE_LIMIT:
-        raise SolverError(
-            "combining would join %d focal combinations, more than the limit of %d"
-            % (combinations, COMBINE_LIMIT)
-        )
+    _refuse_past(COMBINE_LIMIT, combinations, "join %d focal combinations")
 
     parts = [{(i,): f.support for i, f in enumerate(v.focals)} for v in inputs]
     domains = [v.domain for v in inputs]
@@ -174,7 +201,8 @@ def combine_all_traced(valuations):
             parts.append(belief_joints)
             domains.append(frozenset().union(*(v.domain for v in beliefs)))
         joints = _joint_supports(parts, domains)
-    projectors = [_projector(sorted(union), v.domain) for v in others]
+    names = tuple(sorted(union))
+    projectors = [_projector(names, v.domain) for v in others]
     accum, provenance = {}, {}
     for combo, members in joints.items():
         mass = math.prod(map(list.__getitem__, masses, combo[n_others:])) / norm
@@ -261,17 +289,19 @@ def marginalize(v, variable, lam=None, policy=None):
 
     # Group focals by projected support; the first focal's set is the group's
     # key and its support.  A belief focal brings only its mass, read once
-    # here; any other is split by projection.
-    domain = sorted(v.domain)
+    # here; any other is split by projection: at a decision into {act: value},
+    # since x and an act fix the configuration, else into a list of values.
+    domain = tuple(sorted(v.domain))
     project, pos = _projector(domain, rest), domain.index(name)
     groups = {}
     for f in v.focals:
-        if belief:
-            slices = dict.fromkeys(map(project, f.support))
-        else:
-            slices = {}
-            for y in f.support:
-                slices.setdefault(project(y), {})[y] = f.values[y]
+        slices = dict.fromkeys(map(project, f.support)) if belief else {}
+        if is_dec:
+            for y, val in f.values.items():
+                slices.setdefault(project(y), {})[y[pos][1]] = val
+        elif not belief:
+            for y, val in f.values.items():
+                slices.setdefault(project(y), []).append(val)
         # keys(): frozenset(dict) presizes, so the set would iterate in another order.
         groups.setdefault(frozenset(slices.keys()), []).append(f.mass if belief else slices)
 
@@ -279,7 +309,7 @@ def marginalize(v, variable, lam=None, policy=None):
     focal_prefs = {}
     focals = []
     forcing = is_dec and policy is not None
-    context = _projector(sorted(rest), policy.context) if forcing else None
+    context = _projector(tuple(sorted(rest)), tuple(policy.context)) if forcing else None
     # The groups are distinct supports: sorting them and dropping zero-mass
     # belief focals is all that canonical_focals would add.
     for support in sorted(groups, key=sorted) if len(groups) > 1 else groups:
@@ -300,24 +330,22 @@ def marginalize(v, variable, lam=None, policy=None):
             for slices in groups[support]:
                 ext = slices[x]
                 if is_dec:
-                    # x and an act determine the configuration: one value per act.
-                    peaks = {y[pos][1]: val for y, val in ext.items()}
                     if forcing:
-                        if forced not in peaks:
+                        if forced not in ext:
                             raise SolverError(
                                 "a focal has no value at %r for %r = %r, the act the policy forces"
                                 % (x, name, forced)
                             )
-                        contrib = peaks[forced]
+                        contrib = ext[forced]
                     else:
-                        contrib = max(peaks.values())
+                        contrib = max(ext.values())
                         acts = scores.setdefault(x, {})
-                        for act, val in peaks.items():
+                        for act, val in ext.items():
                             acts[act] = acts.get(act, 0.0) + val
                         if len(v.focals) > 1:  # one focal cannot conflict with itself
-                            focal_prefs.setdefault(x, set()).add(_best_act(peaks, variable.frame))
+                            focal_prefs.setdefault(x, set()).add(_best_act(ext, variable.frame))
                 else:
-                    contrib = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
+                    contrib = lam * max(ext) + (1.0 - lam) * min(ext)
                 total += contrib
             values[x] = total
         focals.append(Focal(support, _finite(values, "marginal value")))

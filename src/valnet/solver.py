@@ -192,7 +192,9 @@ def oracle_solve(network, lam):
     """Combine everything into one joint valuation, then eliminate in order.
 
     Desk-scale verification path for the fusion algorithm; refuses joint
-    frames above a million configurations.
+    frames above ``ORACLE_GUARD`` (a million) configurations.  The one joint
+    combination is also held to ``calculus.JOIN_LIMIT`` (10^5 configurations
+    per join level), the tighter cap on most networks.
     """
     lam = check_lambda(lam)
     _check(network)

@@ -225,6 +225,29 @@ def decision_chain(n):
     return "\n".join(declarations + statements + ["lambda = 0.5", ""])
 
 
+def decision_fan(k):
+    """Problem text with decisions D0 ... D(k-1) on 10 acts, all preceding R.
+
+    R has a vacuous bpa, and each utility ui on {Di, R} has 100 rows.  R is
+    eliminated first, which joins every utility into one focal over 10^(k+1)
+    configurations.
+    """
+    values = ["v%d" % j for j in range(10)]
+    frame = "{ %s }" % ", ".join(values)
+    lines = ["random R %s" % frame, "bpa p on {R} { %s = 1 }" % frame]
+    for i in range(k):
+        rows = "; ".join(
+            "%s %s = %d" % (d, r, (a * 7 + b * 3 + i) % 11 - 5)
+            for a, d in enumerate(values) for b, r in enumerate(values)
+        )
+        lines += [
+            "decision D%d %s" % (i, frame),
+            "prec D%d -> R" % i,
+            "utility u%d on {D%d, R} { %s }" % (i, i, rows),
+        ]
+    return "\n".join(lines + ["lambda = 0.5", ""])
+
+
 VALUE_RTOL = 1e-6
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -12,7 +13,7 @@ from valnet import calculus, solver, valuation
 from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_SOLVER, build_parser, main
 
 from conftest import ROOT, WILDCATTER_PATH
-from netgen import decision_chain
+from netgen import decision_chain, decision_fan
 
 SRC = ROOT / "src"
 
@@ -398,6 +399,42 @@ def test_combining_past_the_limit_is_a_solver_error(
     assert code == EXIT_SOLVER
     assert out == ""
     assert err == expected + " focal combinations, more than the limit of 2\n"
+
+
+@pytest.mark.parametrize("command, text, size", [
+    (["solve"], None, 40),
+    (["sweep", "--lambdas", "0,1"], None, 40),
+    (["marginal", "--target", "S"], PROPAGATION, 9),
+], ids=["solve", "sweep", "marginal"])
+def test_joining_past_the_limit_is_a_solver_error(
+    capsys, tmp_path, monkeypatch, command, text, size
+):
+    path = str(WILDCATTER_PATH if text is None else write(tmp_path, text))
+    # ``size`` is the largest level the join builds: at the limit it is built.
+    monkeypatch.setattr(calculus, "JOIN_LIMIT", size)
+    assert run(capsys, *command, path)[0] == EXIT_OK
+    monkeypatch.setattr(calculus, "JOIN_LIMIT", size - 1)
+    code, out, err = run(capsys, *command, path)
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert err == (
+        "solver error: combining would build %d joint configurations, "
+        "more than the limit of %d\n" % (size, size - 1)
+    )
+
+
+def test_a_wide_joint_support_is_refused_before_it_is_built(capsys, tmp_path):
+    # Eliminating R first joins six 100-row utilities over 10^7 configurations;
+    # the level of 10^6 after the fifth is refused.
+    path = write(tmp_path, decision_fan(6))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", path)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert err == (
+        "solver error: combining would build 1000000 joint configurations, "
+        "more than the limit of %d\n" % calculus.JOIN_LIMIT
+    )
+    assert elapsed < 1.0
 
 
 def near_halves():

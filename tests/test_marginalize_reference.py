@@ -9,13 +9,17 @@ configuration: slow, but with no grouping to get wrong.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from valnet import combine_all, decision, marginalize, random_var
-from valnet.calculus import marginalize_belief
-from valnet.model import project_config
+from valnet import SolverError, combine_all, decision, elimination_order, marginalize, random_var
+from valnet.calculus import SolutionTable, marginalize_belief
+from valnet.model import make_config, project_config
+from valnet.solver import fuse
 from valnet.valuation import BELIEF, GENERAL, UTILITY
 
 from netgen import random_network
+from test_combine_reference import check
 
 
 def first_best(values, frame):
@@ -99,6 +103,56 @@ def check_step(v, variable, lam=None):
     return result
 
 
+def reference_forced_step(v, variable, choices):
+    """Remove decision ``variable`` from ``v`` at the act ``choices[x]`` for each x.
+
+    Returns (focals, missing): focals maps each projected support to {x: the
+    sum, over the source focals in its group, of their values at x and the
+    forced act}, and missing holds the error message for every x whose forced
+    act some source focal has no value at.
+    """
+    name = variable.name
+    rest = v.domain - {name}
+    groups = {}
+    for f in v.focals:
+        groups.setdefault(frozenset(project_config(y, rest) for y in f.support), []).append(f)
+    focals, missing = {}, set()
+    for proj, members in groups.items():
+        values = {}
+        for x in proj:
+            y = make_config({**dict(x), name: choices[x]})
+            for f in members:
+                if y in f.values:
+                    values[x] = values.get(x, 0.0) + f.values[y]
+                else:
+                    missing.add(
+                        "a focal has no value at %r for %r = %r, the act the policy forces"
+                        % (x, name, choices[x])
+                    )
+        focals[proj] = values
+    return focals, missing
+
+
+def check_forced_step(v, variable):
+    """Force ``variable`` with the reference's best acts; True if the step succeeds."""
+    _, _, totals, _ = reference_step(v, variable)
+    choices = {
+        x: first_best({act: sum(vals) for act, vals in acts.items()}, variable.frame)
+        for x, acts in totals.items()
+    }
+    policy = SolutionTable(variable.name, tuple(sorted(v.domain - {variable.name})), choices)
+    focals, missing = reference_forced_step(v, variable, choices)
+    try:
+        result, table = marginalize(v, variable, policy=policy)
+    except SolverError as e:
+        assert str(e) in missing
+        return False
+    assert not missing
+    assert table is None
+    assert {f.support: f.values for f in result.focals} == focals
+    return True
+
+
 @pytest.fixture(scope="module")
 def networks():
     rng = random.Random(20260823)
@@ -131,3 +185,31 @@ def test_belief_steps_match_reference(networks):
             assert marginalize_belief(v, name) == result
             steps += 1
     assert steps > 50
+
+
+def test_forced_decision_steps_match_reference(networks):
+    forced = refused = 0
+    for net in networks:
+        v = combine_all(list(net.utilities) + [p.ballooned for p in net.potentials])
+        for name in sorted(v.domain):
+            if check_forced_step(v, decision(name, v.frames[name])):
+                forced += 1
+            else:
+                refused += 1
+    assert forced > 50 and refused > 20
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.3, 1.0]))
+def test_fusion_pools_and_steps_match_the_references(seed, lam):
+    net = random_network(random.Random(seed))
+    pool = list(net.utilities) + [p.ballooned for p in net.potentials]
+    for name in elimination_order(net):
+        touched = [v for v in pool if name in v.domain]
+        if not touched:
+            continue
+        check(touched)
+        variable = net.by_name[name]
+        check_step(combine_all(touched), variable, lam)
+        pool, _ = fuse(pool, variable, lam=lam)
+    check(pool)
