@@ -68,10 +68,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print("error: %r is not UTF-8 text: %s" % (args.file, exc), file=sys.stderr)
         return EXIT_PARSE
     try:
         code = args.run(parse_problem(text), args)
@@ -93,15 +96,20 @@ def main(argv=None):
 def _report_invalid(network):
     """Print the network's validation findings to stderr; True if it has any."""
     report = validate(network)
-    for line in report.lines():
-        print(line, file=sys.stderr)
+    if not report.ok:
+        _write(report.lines(), sys.stderr)
     return not report.ok
+
+
+def _write(lines, stream=None):
+    """Write the lines to ``stream`` (stdout by default) in one call."""
+    (stream or sys.stdout).write("".join([line + "\n" for line in lines]))
 
 
 def cmd_check(problem, args):
     if _report_invalid(problem.network):
         return EXIT_INVALID
-    print("ok: network is well-defined")
+    _write(["ok: network is well-defined"])
     return EXIT_OK
 
 
@@ -109,41 +117,32 @@ def _fmt(value):
     return "%.6g" % value
 
 
-def _decl_order(network):
-    return [v.name for v in network.variables]
+def _formatter(network, names):
+    """Function from a configuration over ``names`` to its values in declaration order."""
+    names = sorted(names)
+    at = sorted(range(len(names)), key=lambda i: network.decl_index[names[i]])
+    return lambda cfg: " ".join([cfg[i][1] for i in at])
 
 
-def _fmt_config(cfg, decl):
-    values = dict(cfg)
-    return " ".join(values[n] for n in decl if n in values)
-
-
-def _psi_lines(network, result):
-    decl = _decl_order(network)
-    out = []
-    for name in decl:
-        table = result.solutions.get(name)
-        if table is None:
-            continue
-        if not table.context:
-            out.append("Psi[%s]: %s" % (name, table.choices.get(DIAMOND, "")))
-            continue
-        parts = [
-            "%s -> %s" % (_fmt_config(cfg, decl), act)
-            for cfg, act in sorted(table.choices.items())
-        ]
-        out.append("Psi[%s]: %s" % (name, "; ".join(parts)))
-    return out
+def _psi_tables(network, result):
+    """(decision, table, formatter for its contexts) per solution table, in declaration order."""
+    return [
+        (v.name, table, _formatter(network, table.context))
+        for v in network.variables
+        if (table := result.solutions.get(v.name)) is not None
+    ]
 
 
 def _strategy_parts(network, result):
-    decl = _decl_order(network)
+    """(decision, context, act) per strategy entry, in declaration order."""
     tables = result.strategy.tables
-    return [
-        (name, _fmt_config(cfg, decl), act)
-        for name in decl if name in tables
-        for cfg, act in sorted(tables[name][1].items())
-    ]
+    parts = []
+    for v in network.variables:
+        if v.name in tables:
+            names, mapping = tables[v.name]
+            fmt = _formatter(network, names)
+            parts += [(v.name, fmt(cfg), act) for cfg, act in sorted(mapping.items())]
+    return parts
 
 
 def cmd_solve(problem, args):
@@ -156,38 +155,41 @@ def cmd_solve(problem, args):
         return EXIT_INVALID
     result = solve(network, lam)
 
+    lines = []
     if args.trace:
         for index, step in enumerate(result.trace, 1):
-            _print_step(network, index, step, result.lam)
-            print()
+            lines += _step_lines(network, index, step, result.lam)
+            lines.append("")
     if args.machine:
-        print("# record\tname\tcontext\tvalue")
-        print("value\t\t\t%r" % result.expected_value)
-        decl = _decl_order(network)
-        for name in decl:
-            table = result.solutions.get(name)
-            if table is None:
-                continue
-            for cfg, act in sorted(table.choices.items()):
-                print("psi\t%s\t%s\t%s" % (name, _fmt_config(cfg, decl), act))
-        for name, ctx, act in _strategy_parts(network, result):
-            print("strategy\t%s\t%s\t%s" % (name, ctx, act))
+        lines.append("# record\tname\tcontext\tvalue")
+        lines.append("value\t\t\t%r" % result.expected_value)
+        for name, table, fmt in _psi_tables(network, result):
+            lines += [
+                "psi\t%s\t%s\t%s" % (name, fmt(cfg), act) for cfg, act in sorted(table.choices.items())
+            ]
+        lines += ["strategy\t%s\t%s\t%s" % part for part in _strategy_parts(network, result)]
     else:
-        print("lambda %s" % _fmt(lam))
-        print("expected value %s" % _fmt(result.expected_value))
-        for line in _psi_lines(network, result):
-            print(line)
+        lines.append("lambda %s" % _fmt(lam))
+        lines.append("expected value %s" % _fmt(result.expected_value))
+        for name, table, fmt in _psi_tables(network, result):
+            if not table.context:
+                lines.append("Psi[%s]: %s" % (name, table.choices.get(DIAMOND, "")))
+                continue
+            parts = ["%s -> %s" % (fmt(cfg), act) for cfg, act in sorted(table.choices.items())]
+            lines.append("Psi[%s]: %s" % (name, "; ".join(parts)))
         parts = [
             "%s = %s" % ("%s(%s)" % (name, ctx) if ctx else name, act)
             for name, ctx, act in _strategy_parts(network, result)
         ]
-        print("strategy: %s" % "; ".join(parts))
+        lines.append("strategy: %s" % "; ".join(parts))
+    _write(lines)
     return EXIT_OK
 
 
-def _print_step(network, index, step, lam):
-    decl = _decl_order(network)
-    print(
+def _step_lines(network, index, step, lam):
+    """The --trace table of one fusion step."""
+    decl = [v.name for v in network.variables]
+    lines = [
         "step %d: eliminate %s (%s), domain {%s}"
         % (
             index,
@@ -195,7 +197,7 @@ def _print_step(network, index, step, lam):
             step.kind,
             ", ".join(n for n in decl if n in step.combined.domain),
         )
-    )
+    ]
     labels = [v.label or ("input%d" % i) for i, v in enumerate(step.inputs)]
     header = ["focal", "config"] + labels + ["combined", "marginal"]
     if step.solution is not None:
@@ -203,6 +205,7 @@ def _print_step(network, index, step, lam):
     rows = []
     rest = step.result.domain
     variable = network.by_name[step.variable]
+    fmt = _formatter(network, step.combined.domain)
     for j, focal in enumerate(step.combined.focals):
         # A valid network joins one focal per input into each combined focal.
         (sources,) = step.provenance[j]
@@ -216,7 +219,7 @@ def _print_step(network, index, step, lam):
         seen = set()
         for z in ordered:
             x = project_config(z, rest)
-            cells = [str(j + 1) if z == ordered[0] else "", _fmt_config(z, decl)]
+            cells = [str(j + 1) if z == ordered[0] else "", fmt(z)]
             for v, i in zip(step.inputs, sources):
                 cells.append(_fmt(v.focals[i].values[project_config(z, v.domain)]))
             cells.append(_fmt(focal.values[z]))
@@ -231,9 +234,9 @@ def _print_step(network, index, step, lam):
                     cells.append("")
             rows.append(cells)
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
+    return lines
 
 
 def cmd_sweep(problem, args):
@@ -252,13 +255,18 @@ def cmd_sweep(problem, args):
         return EXIT_INVALID
     results = lambda_sweep(network, grid)
     if args.machine:
-        print("# record\tlambda\tvalue\tstrategy")
-        for r in results:
-            print("sweep\t%r\t%r\t%s" % (r.lam, r.expected_value, _fingerprint(network, r)))
+        lines = ["# record\tlambda\tvalue\tstrategy"]
+        lines += [
+            "sweep\t%r\t%r\t%s" % (r.lam, r.expected_value, _fingerprint(network, r))
+            for r in results
+        ]
     else:
-        print("lambda  value  strategy")
-        for r in results:
-            print("%s  %s  %s" % (_fmt(r.lam), _fmt(r.expected_value), _fingerprint(network, r)))
+        lines = ["lambda  value  strategy"]
+        lines += [
+            "%s  %s  %s" % (_fmt(r.lam), _fmt(r.expected_value), _fingerprint(network, r))
+            for r in results
+        ]
+    _write(lines)
     return EXIT_OK
 
 
@@ -277,17 +285,18 @@ def cmd_marginal(problem, args):
     if _report_invalid(network):
         return EXIT_INVALID
     marginal = propagate_marginal(network, args.target)
-    decl = _decl_order(network)
+    fmt = _formatter(network, marginal.domain)
     if args.machine:
-        print("# record\tmass\tfocal")
+        lines = ["# record\tmass\tfocal"]
         for f in marginal.focals:
-            members = "|".join(_fmt_config(x, decl) for x in sorted(f.support))
-            print("focal\t%r\t%s" % (f.mass, members))
+            members = "|".join([fmt(x) for x in sorted(f.support)])
+            lines.append("focal\t%r\t%s" % (f.mass, members))
     else:
-        print("marginal bpa for %s" % args.target)
+        lines = ["marginal bpa for %s" % args.target]
         for f in marginal.focals:
-            members = ", ".join(_fmt_config(x, decl) for x in sorted(f.support))
-            print("%s  {%s}" % (_fmt(f.mass), members))
+            members = ", ".join([fmt(x) for x in sorted(f.support)])
+            lines.append("%s  {%s}" % (_fmt(f.mass), members))
+    _write(lines)
     return EXIT_OK
 
 

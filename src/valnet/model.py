@@ -86,8 +86,7 @@ def concat_configs(x, y):
 
 def iter_configs(names, frames):
     """Every configuration of the given variables, lazily, in a deterministic order."""
-    names = sorted(names)
-    return (tuple(zip(names, combo)) for combo in itertools.product(*(frames[n] for n in names)))
+    return itertools.product(*([(n, value) for value in frames[n]] for n in sorted(names)))
 
 
 def all_configs(names, frames):

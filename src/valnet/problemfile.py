@@ -1,5 +1,9 @@
 """Line-oriented problem files: variables, arcs, utility and bpa tables.
 
+Files are UTF-8 text and may start with a byte order mark (the CLI reads
+them as ``utf-8-sig``); ``parse_problem`` takes the decoded text.  Lines
+break wherever ``str.splitlines`` breaks them.
+
 Grammar (one statement per logical line, ``#`` starts a comment, braces may
 span lines):
 
@@ -14,14 +18,16 @@ span lines):
 
 from __future__ import annotations
 
-import itertools
+import itertools  # product stays a module attribute, which tests replace to count enumerations
 import math
+import operator
 import re
 from collections import namedtuple
+from itertools import accumulate, compress, repeat
 
 from .calculus import check_lambda
 from .errors import ProblemFormatError, SolverError, ValnetError
-from .model import Variable, config_maker
+from .model import Variable, config_maker, iter_configs
 from .network import Network
 from .valuation import conditional, make_utility
 
@@ -42,29 +48,31 @@ ParsedProblem = namedtuple("ParsedProblem", "network lam", defaults=(None,))
 
 
 def _statements(text):
-    """Split comment-stripped text into brace-balanced statements."""
+    """Split comment-stripped text into brace-balanced statements.
+
+    Lines are numbered as ``str.splitlines`` breaks them.  A statement ends
+    on the first line after which the running brace depth is back to zero.
+    The depths come from per-line brace counts, so only the lines that end
+    at depth zero are visited one by one, and a block is one slice of lines.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    opens = map(str.count, lines, repeat("{"))
+    closes = map(str.count, lines, repeat("}"))
+    depths = list(accumulate(map(operator.sub, opens, closes)))
+    if depths and min(depths) < 0:
+        raise ProblemFormatError("unbalanced '}'", next(i for i, d in enumerate(depths) if d < 0) + 1)
     out = []
-    buf = []
-    start = None
-    depth = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip() and depth == 0:
-            continue
-        if start is None:
-            start = lineno
-        buf.append(line)
-        depth += line.count("{") - line.count("}")
-        if depth < 0:
-            raise ProblemFormatError("unbalanced '}'", lineno)
-        if depth == 0:
-            stmt = " ".join(buf).strip()
-            if stmt:
-                out.append((start, stmt))
-            buf = []
-            start = None
-    if depth != 0:
-        raise ProblemFormatError("unterminated '{'", start or 1)
+    start = 0  # the line after the last statement
+    for end in compress(range(len(lines)), map(operator.not_, depths)):
+        if end > start:  # line ``start`` opened a block
+            out.append((start + 1, " ".join(lines[start:end + 1]).strip()))
+        elif stmt := lines[end].strip():
+            out.append((end + 1, stmt))
+        start = end + 1
+    if start < len(lines):
+        raise ProblemFormatError("unterminated '{'", start + 1)
     return out
 
 
@@ -181,16 +189,14 @@ def _parse_utility(b, stmt, lineno):
     entries = _entries(body)
     size = math.prod(len(v.frame) for v in variables)
     # A table too short to be complete never builds the frame product.
-    lookup = {} if size > len(entries) else {
-        tokens: to_config(tokens)
-        for tokens in itertools.product(*(v.frame for v in variables))
-    }
+    lookup = {} if size > len(entries) else _frame_lookup(names, variables)
     table = {}
     for entry in entries:
         m2 = _UTILITY_ENTRY.fullmatch(entry)
         if not m2:
             raise ProblemFormatError("malformed utility entry %r" % entry, lineno)
-        tokens = tuple(m2.group(1).split())
+        row, number = m2.groups()
+        tokens = tuple(row.split())
         cfg = lookup.get(tokens)
         if cfg is None:  # name the first bad token
             if len(tokens) != len(variables):
@@ -203,8 +209,20 @@ def _parse_utility(b, stmt, lineno):
             cfg = to_config(tokens)
         if cfg in table:
             raise ProblemFormatError("duplicate utility entry %r" % entry, lineno)
-        table[cfg] = _parse_number(m2.group(2), lineno, "utility value")
+        table[cfg] = _parse_number(number, lineno, "utility value")
     b.utilities.append(make_utility(variables, table, label=label))
+
+
+def _frame_lookup(names, variables):
+    """{tuple of values in the order of ``names``: configuration} over the frame product."""
+    # Both products run over the variables in name order, as configurations
+    # sort them; ``back`` puts each tuple of values into the order of ``names``.
+    order = sorted(range(len(names)), key=names.__getitem__)
+    values = itertools.product(*(variables[i].frame for i in order))
+    if order != sorted(order):
+        back = sorted(range(len(order)), key=order.__getitem__)
+        values = map(operator.itemgetter(*back), values)
+    return dict(zip(values, iter_configs(names, {v.name: v.frame for v in variables})))
 
 
 def _parse_bpa(b, stmt, lineno):
@@ -217,23 +235,29 @@ def _parse_bpa(b, stmt, lineno):
     parent_names = _split_list(parent_body or "")
     parents = [b.need_var(n, lineno) for n in parent_names]
     to_config = config_maker(parent_names)
+    head_frame = frozenset(head.frame)
+    configs = {}  # parent tokens -> configuration, checked and built once
     tables = {}
     for entry in _entries(body):
         m2 = _BPA_ENTRY.fullmatch(entry)
         if not m2:
             raise ProblemFormatError("malformed bpa entry %r" % entry, lineno)
-        ptokens = (m2.group(1) or "").split()
-        if len(ptokens) != len(parents):
-            raise ProblemFormatError(
-                "bpa entry %r needs one value per parent of %r" % (entry, parent_names),
-                lineno,
-            )
-        for p, t in zip(parents, ptokens):
-            b.need_value(p, t, lineno)
-        cfg = to_config(ptokens)
-        subset = frozenset(
-            b.need_value(head, t, lineno) for t in _split_list(m2.group(2))
-        )
+        ptokens = tuple((m2.group(1) or "").split())
+        cfg = configs.get(ptokens)
+        if cfg is None:
+            if len(ptokens) != len(parents):
+                raise ProblemFormatError(
+                    "bpa entry %r needs one value per parent of %r" % (entry, parent_names),
+                    lineno,
+                )
+            for p, t in zip(parents, ptokens):
+                b.need_value(p, t, lineno)
+            cfg = configs[ptokens] = to_config(ptokens)
+        tokens = _split_list(m2.group(2))
+        subset = frozenset(tokens)
+        if not subset <= head_frame:  # name the first bad token
+            for t in tokens:
+                b.need_value(head, t, lineno)
         mass = _parse_number(m2.group(3), lineno, "mass")
         tables.setdefault(cfg, []).append((subset, mass))
     b.potentials.append(conditional(head, parents, tables, label=label))
@@ -249,7 +273,7 @@ def _parse_lambda(b, stmt, lineno):
 
 
 def _entries(body):
-    return [e.strip() for e in body.split(";") if e.strip()]
+    return [e for e in map(str.strip, body.split(";")) if e]
 
 
 def serialize(network, lam=None):

@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 
 from .calculus import (
+    _projector,
     check_lambda,
     combine_all,
     combine_all_traced,
@@ -171,13 +172,15 @@ def build_strategy(network, solutions, order):
             )
         plans[name] = (table, names, earlier)
     for name, (table, names, earlier) in plans.items():
+        # A configuration over ``names`` followed by the earlier decisions'
+        # (name, act) pairs projects onto each key by fixed positions.
+        ordered = tuple(sorted(names))
+        inner = [(n, _projector(ordered, tables[n][0]), tables[n][1]) for n in earlier]
+        project = _projector(ordered + tuple(earlier), tuple(table.context))
         mapping = {}
         for cfg in all_configs(names, network.frames):
-            values = dict(cfg)
-            for n in earlier:
-                inner, acts = tables[n]
-                values[n] = acts[make_config({k: values[k] for k in inner})]
-            mapping[cfg] = table.choices.get(make_config({n: values[n] for n in table.context}))
+            chosen = tuple([(n, acts[key(cfg)]) for n, key, acts in inner])
+            mapping[cfg] = table.choices.get(project(cfg + chosen))
         tables[name] = (names, mapping)
     return Strategy(tables)
 

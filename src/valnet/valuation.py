@@ -170,13 +170,13 @@ def make_utility(variables, table, label=""):
     frames = frames_of(variables)
     size = math.prod(len(f) for f in frames.values())
     # Counted first, so that a short table never builds the frame product.
-    if len(table) < size or table.keys() != (expected := set(all_configs(domain, frames))):
+    if len(table) < size or table.keys() != (support := frozenset(iter_configs(domain, frames))):
         raise _coverage_error(label, sorted(domain), frames, table, size)
     values = {x: float(v) + 0.0 for x, v in table.items()}  # -0.0 becomes 0.0
-    bad = sorted(x for x, v in values.items() if not math.isfinite(v))
-    if bad:
+    if not all(map(math.isfinite, values.values())):
+        bad = sorted(x for x, v in values.items() if not math.isfinite(v))
         raise UtilityError("utility values are not finite at %r" % (bad,))
-    return Valuation(domain, frames, UTILITY, (Focal(frozenset(expected), values),), label)
+    return Valuation(domain, frames, UTILITY, (Focal(support, values),), label)
 
 
 def _coverage_error(label, names, frames, table, size):
@@ -201,7 +201,7 @@ def vacuous(variables, label=""):
     variables = list(variables)
     domain = _domain(variables)
     frames = frames_of(variables)
-    support = frozenset(all_configs(domain, frames))
+    support = frozenset(iter_configs(domain, frames))
     return Valuation(domain, frames, BELIEF, (Focal(support, {x: 1.0 for x in support}),), label)
 
 

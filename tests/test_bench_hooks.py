@@ -10,36 +10,12 @@ import sys
 
 from valnet import cli
 
-from conftest import ROOT, WILDCATTER_PATH
+from conftest import CHAIN, ROOT, WILDCATTER_PATH
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import run  # noqa: E402
 import tracer  # noqa: E402
 import worker  # noqa: E402
-
-
-CHAIN = """\
-random A { a0, a1 }
-random B { b0, b1, b2 }
-random C { c0, c1 }
-prec A -> B
-prec B -> C
-
-bpa pa on {A} { {a0} = 0.7; {a0, a1} = 0.3 }
-
-bpa pb on {B | A} {
-  a0 : {b0, b1} = 0.6;
-  a0 : {b2} = 0.4;
-  a1 : {b1} = 1
-}
-
-bpa pc on {C | B} {
-  b0 : {c0} = 1;
-  b1 : {c0, c1} = 0.5;
-  b1 : {c1} = 0.5;
-  b2 : {c1} = 1
-}
-"""
 
 
 def traced_main(argv):

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import itertools
 import math
 import os
@@ -6,13 +8,16 @@ import subprocess
 import sys
 import time
 import types
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from valnet import calculus, solver, valuation
 from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_SOLVER, build_parser, main
 
-from conftest import ROOT, WILDCATTER_PATH
+from conftest import CHAIN, GOLDEN, ROOT, WILDCATTER_PATH
 from netgen import decision_chain, decision_fan
 
 SRC = ROOT / "src"
@@ -68,6 +73,22 @@ class TestCheck:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_a_file_that_is_not_utf8_is_a_read_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.vn"
+        path.write_bytes(b"random R { x, \xff }\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            "error: %r is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+            "in position 14: invalid start byte\n" % str(path)
+        )
+
+    @pytest.mark.parametrize("command", [["check"], ["solve"], ["solve", "--trace"]])
+    def test_a_byte_order_mark_is_read_past(self, capsys, tmp_path, command):
+        path = tmp_path / "bom.vn"
+        path.write_bytes(b"\xef\xbb\xbf" + WILDCATTER_PATH.read_bytes())
+        assert run(capsys, *command, str(path)) == run(capsys, *command, str(WILDCATTER_PATH))
+
 
 class TestSolve:
     def test_human_output(self, capsys):
@@ -108,13 +129,21 @@ class TestSolve:
         assert "Psi[D]" in out
         assert "62500" in out  # a per-focal contribution from the first step
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["solve", "--machine"], "wildcatter_solve_machine.out"),
+        (["sweep", "--lambdas", "0,0.5,1"], "wildcatter_sweep.out"),
+        (["sweep", "--machine", "--lambdas", "0,0.5,1"], "wildcatter_sweep_machine.out"),
+    ])
+    def test_output_matches_the_golden_bytes(self, capsys, argv, golden):
+        assert run(capsys, *argv, str(WILDCATTER_PATH)) == (EXIT_OK, (GOLDEN / golden).read_text(), "")
+
     def test_trace_matches_the_golden_bytes(self):
         proc = subprocess.run(
             [sys.executable, "-m", "valnet.cli", "solve", str(WILDCATTER_PATH), "--trace"],
             env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
-        assert proc.stdout == (ROOT / "tests" / "golden" / "wildcatter_trace.out").read_bytes()
+        assert proc.stdout == (GOLDEN / "wildcatter_trace.out").read_bytes()
 
     def test_closed_stdout_exits_141_without_a_traceback(self):
         # As in ``valnet solve --trace | head``, once head has exited.
@@ -458,3 +487,64 @@ def test_tables_within_the_mass_tolerance_meet_condition_d(capsys, tmp_path, com
     code, out, err = run(capsys, *command, write(tmp_path, near_halves()))
     assert (code, err) == (EXIT_OK, "")
     assert "does not marginalize" not in out
+
+
+def test_marginal_machine_output_matches_the_golden_bytes(capsys, tmp_path):
+    code, out, err = run(capsys, "marginal", "--machine", "--target", "C", write(tmp_path, CHAIN))
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / "chain_marginal_machine.out").read_text(), "")
+
+
+# The one stderr line each error exit ends in; an invalid network prints one
+# finding per line.
+ERROR_LINE = {
+    EXIT_INVALID: ("error ",),
+    EXIT_PARSE: ("parse error: line ", "error: "),
+    EXIT_SOLVER: ("solver error: ",),
+}
+
+
+def _mutate_bytes(data, edits):
+    for position, cut, piece in edits:
+        position %= len(data) + 1
+        data = data[:position] + piece + data[position + cut:]
+    return data
+
+
+# Grammar bytes, line breaks of several kinds, a byte order mark and bytes
+# that are not UTF-8.
+PIECES = [
+    b"{", b"}", b"#", b";", b":", b"=", b"|", b",", b" ", b"\n", b"\r\n", b"\r", b"\x0c",
+    b"\xc2\x85", b"\xe2\x80\xa8", b"\xef\xbb\xbf", b"\xff", b"\xe2", b"0", b"-1", b"nan",
+    b"1e309", b"prec R -> D", b"lambda = 2",
+]
+
+
+@settings(deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.sampled_from([WILDCATTER_PATH.read_text(), CHAIN, PROPAGATION]),
+    st.sampled_from([1, 2, 3, 5]).map(decision_fan),  # 5 joins past JOIN_LIMIT
+    st.integers(1, 4).map(decision_chain),
+).map(str.encode).flatmap(lambda data: st.one_of(
+    st.just(data),
+    st.lists(
+        st.tuples(st.integers(0, 10 ** 4), st.integers(0, 8), st.sampled_from(PIECES)),
+        min_size=1, max_size=4,
+    ).map(lambda edits: _mutate_bytes(data, edits)),
+)))
+def test_every_command_ends_in_output_or_one_typed_error(tmp_path, data):
+    # The deadline bounds each example: a size blow-up must be refused before its work.
+    path = tmp_path / "problem.vn"
+    path.write_bytes(data)
+    for command in (["check"], ["solve"], ["sweep", "--lambdas", "0,1"], ["marginal", "--target", "R"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + [str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        if code == EXIT_OK:
+            assert out and err == ""
+            continue
+        assert code in ERROR_LINE and out == ""
+        assert err.endswith("\n")
+        lines = err[:-1].split("\n")
+        assert all(line.startswith(ERROR_LINE[code]) for line in lines)
+        assert code == EXIT_INVALID or len(lines) == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from valnet import (
     project_config,
     random_var,
 )
-from valnet.model import all_configs
+from valnet.model import all_configs, iter_configs
 
 FRAMES = {
     "T": ("t", "~t"),
@@ -135,3 +137,14 @@ def test_all_configs_order_is_deterministic():
     first = all_configs({"D", "O"}, FRAMES)
     assert first == all_configs({"O", "D"}, FRAMES)
     assert len(first) == 6
+
+
+@given(st.lists(st.sampled_from(sorted(FRAMES)), unique=True))
+def test_iter_configs_matches_zipping_names_with_the_frame_product(names):
+    # The construction iter_configs replaced, one zip per configuration.
+    ordered = sorted(names)
+    expected = [
+        tuple(zip(ordered, combo)) for combo in itertools.product(*(FRAMES[n] for n in ordered))
+    ]
+    assert list(iter_configs(names, FRAMES)) == expected
+    assert all_configs(reversed(names), FRAMES) == expected

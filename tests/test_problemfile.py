@@ -103,6 +103,71 @@ def test_parser_is_total(text):
         assert "ballooning" in str(exc)
 
 
+def reference_statements(text):
+    """The line-by-line splitter that ``problemfile._statements`` must agree with."""
+    out = []
+    buf = []
+    start = None
+    depth = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip() and depth == 0:
+            continue
+        if start is None:
+            start = lineno
+        buf.append(line)
+        depth += line.count("{") - line.count("}")
+        if depth < 0:
+            raise ProblemFormatError("unbalanced '}'", lineno)
+        if depth == 0:
+            stmt = " ".join(buf).strip()
+            if stmt:
+                out.append((start, stmt))
+            buf = []
+            start = None
+    if depth != 0:
+        raise ProblemFormatError("unterminated '{'", start or 1)
+    return out
+
+
+def _split_or_error(split, text):
+    try:
+        return split(text)
+    except ProblemFormatError as exc:
+        return (str(exc), exc.line)
+
+
+# Every line break that ``str.splitlines`` knows.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPLITTER_PIECES = LINE_BREAKS + [
+    "{", "}", "{ a, b }", "#", "# a { comment }", " ", "\t", "\x1f", "\xa0",
+    "a", "b c", "= 1;", "x : {y} = 1;",
+]
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(SPLITTER_PIECES), max_size=40).map("".join),
+    st.lists(
+        st.tuples(st.integers(0, 10 ** 4), st.integers(0, 20), st.sampled_from(SPLITTER_PIECES)),
+        min_size=1,
+        max_size=6,
+    ).map(lambda edits: _mutate(WILDCATTER_TEXT, edits)),
+))
+def test_statements_match_the_line_by_line_reference(text):
+    # The same statements at the same lines, or the same error at the same line.
+    assert _split_or_error(problemfile._statements, text) == _split_or_error(reference_statements, text)
+
+
+def test_statements_number_lines_as_splitlines_breaks_them():
+    text = "decision D { a,\r\n b }\x1cprec D -> D\u2028# c\x85utility u on {D} {\x0b a = 1;\r b = 2 }\n"
+    assert problemfile._statements(text) == [
+        (1, "decision D { a,  b }"),
+        (3, "prec D -> D"),
+        (5, "utility u on {D} {  a = 1;  b = 2 }"),
+    ]
+
+
 def _fail_past(monkeypatch, limit):
     """Make enumerating more than ``limit`` configurations fail at once."""
     def product(*pools):
