@@ -15,11 +15,11 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import reduce
 
-from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError
-from .model import DIAMOND, RANDOM, Variable
-from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, canonical_focals
+from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError, _refuse_past
+from .model import DIAMOND, RANDOM, Variable, _projector
+from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, canonical_focals
 
 CONFLICT_TOL = 1e-12
 # Most combinations of one focal per input that ``combine_all_traced`` joins.
@@ -40,23 +40,16 @@ def check_lambda(lam):
     return lam + 0.0  # -0.0 becomes 0.0
 
 
-class SolutionTable(
-    namedtuple("SolutionTable", "decision context choices conflicts", defaults=(frozenset(),))
-):
+class SolutionTable(namedtuple("SolutionTable", "decision context choices totals", defaults=(None,))):
     """Recorded optimal acts for one decision variable.
 
     ``choices`` maps each configuration of the remaining variables to the act
-    maximizing the summed per-focal contribution.  ``conflicts`` lists the
-    contexts where individual focals preferred different acts.
+    maximizing the summed per-focal contribution.  ``totals`` maps each of
+    them to {act: that sum}, so a margin or a tie can be read off the table;
+    it is None in a table built by hand as a policy.
     """
 
     __slots__ = ()
-
-
-def _refuse_past(limit, count, doing):
-    """Raise ``SolverError`` if ``count`` passes ``limit``; ``doing`` has a ``%d`` for it."""
-    if count > limit:
-        raise SolverError("combining would %s, more than the limit of %d" % (doing % count, limit))
 
 
 def _merge_frames(valuations):
@@ -72,21 +65,6 @@ def _nonbelief_kind(domain, frames, focals):
     """A non-belief result is a utility valuation iff one focal spans the frame."""
     full = math.prod(len(frames[name]) for name in domain)
     return UTILITY if len(focals) == 1 and len(focals[0].support) == full else GENERAL
-
-
-@lru_cache(maxsize=4096)
-def _projector(names, domain):
-    """Function from a tuple over ``names`` to its items over ``domain`` in name order.
-
-    All of its items in their order is the identity: a full slice hands back
-    the tuple itself, not a copy.  Each (names tuple, domain) pair is cached.
-    """
-    positions = [names.index(n) for n in sorted(domain) if n in names]
-    if positions == list(range(len(names))):
-        return operator.itemgetter(slice(None))
-    if len(positions) == 1:  # itemgetter would give the bare item
-        return operator.itemgetter(slice(positions[0], positions[0] + 1))
-    return operator.itemgetter(*positions) if positions else lambda x: DIAMOND
 
 
 def _joint_supports(parts, domains):
@@ -126,7 +104,7 @@ def _joint_supports(parts, domains):
                 if pairs:
                     matches.append((combo + k, pairs))
                     size += sum(len(zs) * len(es) for zs, es in pairs)
-        _refuse_past(JOIN_LIMIT, size, "build %d joint configurations")
+        _refuse_past(JOIN_LIMIT, size, "combining would build {0} joint configurations")
         level = {}
         for combo, pairs in matches:
             out = [z + e for zs, es in pairs for z in zs for e in es]
@@ -177,7 +155,7 @@ def combine_all_traced(valuations):
     union = frozenset().union(*(v.domain for v in inputs))
     frames = _merge_frames(inputs)
     combinations = math.prod(len(v.focals) for v in inputs)
-    _refuse_past(COMBINE_LIMIT, combinations, "join %d focal combinations")
+    _refuse_past(COMBINE_LIMIT, combinations, "combining would join {0} focal combinations")
 
     parts = [{(i,): f.support for i, f in enumerate(v.focals)} for v in inputs]
     domains = [v.domain for v in inputs]
@@ -272,8 +250,9 @@ def marginalize(v, variable, lam=None, policy=None):
     projected configuration each source focal contributes its mass (belief
     valuations), the maximum of its values there (decision variables; a
     ``policy`` table picks the act instead, and a focal without that act raises
-    ``SolverError``; otherwise the best acts are recorded in a solution table)
-    or the lambda-weighted blend of that maximum and minimum (random variables).
+    ``SolverError``; otherwise the best acts and the per-act totals they are
+    chosen by are recorded in a solution table) or the lambda-weighted blend of
+    that maximum and minimum (random variables).
 
     Returns (valuation, solution table or None).
     """
@@ -306,13 +285,12 @@ def marginalize(v, variable, lam=None, policy=None):
         groups.setdefault(frozenset(slices.keys()), []).append(f.mass if belief else slices)
 
     scores = {}
-    focal_prefs = {}
     focals = []
     forcing = is_dec and policy is not None
     context = _projector(tuple(sorted(rest)), tuple(policy.context)) if forcing else None
     # The groups are distinct supports: sorting them and dropping zero-mass
     # belief focals is all that canonical_focals would add.
-    for support in sorted(groups, key=sorted) if len(groups) > 1 else groups:
+    for support in _focal_order(groups):
         if belief:  # a plain left fold: sum() compensates float rounding from Python 3.12
             values = dict.fromkeys(support, reduce(operator.add, groups[support], 0.0))
             if any(values.values()):
@@ -339,11 +317,12 @@ def marginalize(v, variable, lam=None, policy=None):
                         contrib = ext[forced]
                     else:
                         contrib = max(ext.values())
-                        acts = scores.setdefault(x, {})
-                        for act, val in ext.items():
-                            acts[act] = acts.get(act, 0.0) + val
-                        if len(v.focals) > 1:  # one focal cannot conflict with itself
-                            focal_prefs.setdefault(x, set()).add(_best_act(ext, variable.frame))
+                        acts = scores.get(x)
+                        if acts is None:
+                            scores[x] = dict(ext)
+                        else:
+                            for act, val in ext.items():
+                                acts[act] = acts.get(act, 0.0) + val
                 else:
                     contrib = lam * max(ext) + (1.0 - lam) * min(ext)
                 total += contrib
@@ -356,8 +335,7 @@ def marginalize(v, variable, lam=None, policy=None):
     table = None
     if is_dec and policy is None:
         choices = {x: _best_act(acts, variable.frame) for x, acts in scores.items()}
-        conflicts = frozenset(x for x, prefs in focal_prefs.items() if len(prefs) > 1)
-        table = SolutionTable(name, tuple(sorted(rest)), choices, conflicts)
+        table = SolutionTable(name, tuple(sorted(rest)), choices, scores)
     return result, table
 
 

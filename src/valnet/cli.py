@@ -9,7 +9,7 @@ import sys
 
 from .calculus import check_lambda, marginalize
 from .errors import ProblemFormatError, ValnetError
-from .model import DIAMOND, project_config
+from .model import DIAMOND, _projector
 from .network import validate
 from .problemfile import parse_problem
 from .solver import lambda_sweep, propagate_marginal, solve
@@ -189,21 +189,16 @@ def cmd_solve(problem, args):
 def _step_lines(network, index, step, lam):
     """The --trace table of one fusion step."""
     decl = [v.name for v in network.variables]
-    lines = [
-        "step %d: eliminate %s (%s), domain {%s}"
-        % (
-            index,
-            step.variable,
-            step.kind,
-            ", ".join(n for n in decl if n in step.combined.domain),
-        )
-    ]
+    domain = ", ".join(n for n in decl if n in step.combined.domain)
+    lines = ["step %d: eliminate %s (%s), domain {%s}" % (index, step.variable, step.kind, domain)]
     labels = [v.label or ("input%d" % i) for i, v in enumerate(step.inputs)]
     header = ["focal", "config"] + labels + ["combined", "marginal"]
     if step.solution is not None:
         header.append("Psi[%s]" % step.variable)
     rows = []
-    rest = step.result.domain
+    names = tuple(sorted(step.combined.domain))
+    to_rest = _projector(names, step.result.domain)
+    to_inputs = [_projector(names, v.domain) for v in step.inputs]
     variable = network.by_name[step.variable]
     fmt = _formatter(network, step.combined.domain)
     for j, focal in enumerate(step.combined.focals):
@@ -212,16 +207,13 @@ def _step_lines(network, index, step, lam):
         # What this focal contributes to the result is its marginal alone.
         alone = step.combined._replace(focals=(focal,))
         marginal = marginalize(alone, variable, lam)[0].focals[0].values
-        ordered = sorted(
-            focal.support,
-            key=lambda z: (project_config(z, rest), z),
-        )
+        ordered = sorted(focal.support, key=lambda z: (to_rest(z), z))
         seen = set()
         for z in ordered:
-            x = project_config(z, rest)
+            x = to_rest(z)
             cells = [str(j + 1) if z == ordered[0] else "", fmt(z)]
-            for v, i in zip(step.inputs, sources):
-                cells.append(_fmt(v.focals[i].values[project_config(z, v.domain)]))
+            for v, i, project in zip(step.inputs, sources, to_inputs):
+                cells.append(_fmt(v.focals[i].values[project(z)]))
             cells.append(_fmt(focal.values[z]))
             if x not in seen:
                 seen.add(x)

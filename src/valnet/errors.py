@@ -41,6 +41,15 @@ class SolverError(ValnetError):
     """Solver-level failure (resource guard, monotonicity assertion, ...)."""
 
 
+def _refuse_past(limit, count, doing, *args):
+    """Every size limit's check: refuse work of ``count`` units past ``limit``.
+
+    ``doing`` is a ``str.format`` template with the count as ``{0}`` and ``args`` after it.
+    """
+    if count > limit:
+        raise SolverError("%s, more than the limit of %d" % (doing.format(count, *args), limit))
+
+
 class ProblemFormatError(ValnetError):
     """Problem file could not be parsed."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import DomainMismatchError, NetworkError
 
@@ -61,11 +62,28 @@ def make_config(values):
     return tuple(sorted(values.items()))
 
 
+@lru_cache(maxsize=4096)
+def _projector(names, domain):
+    """Function from a tuple over ``names`` to its items over ``domain`` in name order.
+
+    The program's one positional projection, cached per (names, domain).  All
+    of its items in their order is the identity: a full slice hands back the
+    tuple itself, not a copy.
+    """
+    positions = [names.index(n) for n in sorted(domain) if n in names]
+    if positions == list(range(len(names))):
+        return operator.itemgetter(slice(None))
+    if len(positions) == 1:  # itemgetter would give the bare item
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
+    return operator.itemgetter(*positions) if positions else lambda x: DIAMOND
+
+
 def config_maker(names):
     """Function from values listed in the order of ``names`` to their configuration."""
-    order = sorted(range(len(names)), key=names.__getitem__)
-    pick = operator.itemgetter(*order) if len(order) > 1 else tuple
-    sorted_names = [names[i] for i in order]
+    # (name, place) pairs stay distinct where a name repeats, and sort as the names do.
+    places = tuple(zip(names, range(len(names))))
+    pick = _projector(places, places)
+    sorted_names = sorted(names)
     return lambda values: tuple(zip(sorted_names, pick(values)))
 
 

@@ -13,18 +13,18 @@ import math
 from collections import namedtuple
 
 from .calculus import (
-    _projector,
     check_lambda,
     combine_all,
     combine_all_traced,
     marginalize,
     marginalize_belief,  # not called here; the benchmark's tracer wraps this name
 )
-from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError
-from .model import DIAMOND, DECISION, all_configs, make_config
+from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError, _refuse_past
+from .model import DIAMOND, DECISION, _projector, all_configs, make_config
 from .network import elimination_order, validate
 
-ORACLE_GUARD = 10 ** 6
+# Most configurations of the joint frame that ``oracle_solve`` combines over.
+ORACLE_LIMIT = 10 ** 6
 # Most entries that ``build_strategy`` enumerates over all decisions.
 STRATEGY_LIMIT = 10 ** 5
 
@@ -165,11 +165,7 @@ def build_strategy(network, solutions, order):
         randoms = set(table.context).difference(earlier).union(*(plans[n][1] for n in earlier))
         names = tuple(sorted(randoms, key=network.decl_index.__getitem__))
         total += math.prod(len(network.frames[n]) for n in names)
-        if total > STRATEGY_LIMIT:
-            raise SolverError(
-                "the strategy would hold %d entries with the map for %r, more than the limit of %d"
-                % (total, name, STRATEGY_LIMIT)
-            )
+        _refuse_past(STRATEGY_LIMIT, total, "the strategy would hold {0} entries with the map for {1!r}", name)
         plans[name] = (table, names, earlier)
     for name, (table, names, earlier) in plans.items():
         # A configuration over ``names`` followed by the earlier decisions'
@@ -194,16 +190,16 @@ def evaluate_strategy(network, lam, result):
 def oracle_solve(network, lam):
     """Combine everything into one joint valuation, then eliminate in order.
 
-    Desk-scale verification path for the fusion algorithm; refuses joint
-    frames above ``ORACLE_GUARD`` (a million) configurations.  The one joint
+    Desk-scale verification path for the fusion algorithm, independent of
+    it.  A joint frame of more than ``ORACLE_LIMIT`` (10^6) configurations
+    raises ``SolverError`` before any combination.  The one joint
     combination is also held to ``calculus.JOIN_LIMIT`` (10^5 configurations
     per join level), the tighter cap on most networks.
     """
     lam = check_lambda(lam)
     _check(network)
     size = math.prod(len(v.frame) for v in network.variables)
-    if size > ORACLE_GUARD:
-        raise SolverError("joint frame has %d configurations, over the guard" % size)
+    _refuse_past(ORACLE_LIMIT, size, "the oracle's joint frame would hold {0} configurations")
     order = elimination_order(network)
     joint = combine_all(_initial_pool(network))
     solutions = {}
@@ -281,13 +277,8 @@ def bayesian_check(network, lam):
     at the endpoints as well and verifies both agree.
     """
     for p in network.potentials:
-        for entries in p.tables.values():
-            for subset, _ in entries:
-                if len(subset) != 1:
-                    raise ValnetError(
-                        "potential for %r has a non-singleton focal; not a probability"
-                        % p.head.name
-                    )
+        if any(len(subset) != 1 for entries in p.tables.values() for subset, _ in entries):
+            raise ValnetError("potential for %r has a non-singleton focal; not a probability" % p.head.name)
     low = solve(network, 0.0)
     high = solve(network, 1.0)
     if abs(low.expected_value - high.expected_value) > 1e-9:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import namedtuple
 from itertools import chain
 
-from .errors import DomainMismatchError, KindError, MassError, NetworkError, SolverError, UtilityError
-from .model import DIAMOND, Variable, all_configs, iter_configs, make_config
+from .errors import DomainMismatchError, KindError, MassError, NetworkError, UtilityError, _refuse_past
+from .model import DIAMOND, Variable, _projector, all_configs, iter_configs, make_config
 
 BELIEF = "belief"
 UTILITY = "utility"
@@ -74,6 +73,15 @@ def frames_of(variables):
     return {v.name: tuple(v.frame) for v in variables}
 
 
+def _focal_order(supports):
+    """The supports as a list in the order of focals: by their sorted configurations.
+
+    Most supports share their smallest configuration with another, so a key
+    on less than all of them would still need this one to break ties.
+    """
+    return sorted(supports, key=sorted) if len(supports) > 1 else list(supports)
+
+
 def canonical_focals(items, kind):
     """Merge focals with equal supports by pointwise summation and sort them.
 
@@ -90,7 +98,7 @@ def canonical_focals(items, kind):
         else:
             merged[support] = values
     focals = []
-    for support in sorted(merged, key=sorted) if len(merged) > 1 else merged:
+    for support in _focal_order(merged):
         values = merged[support]
         if kind == BELIEF and not any(values.values()):
             continue
@@ -224,15 +232,17 @@ def is_conditional(v, head_name):
     """True iff every focal of v projects onto the whole frame of v's other variables.
 
     For a bpa, whose masses are judged where it is built, this is condition d.
+    Each configuration is projected once, to one tuple, and the distinct
+    projections of a focal are counted against that frame's size.
     """
     if v.kind != BELIEF:
         raise KindError("is_conditional needs a belief valuation, got %r" % v.kind)
     if head_name not in v.domain:
         raise DomainMismatchError("%r is not in the valuation's domain" % head_name)
-    size = math.prod(len(v.frames[n]) for n in v.domain if n != head_name)
-    at = sorted(v.domain).index(head_name)
-    drop_head = operator.itemgetter(slice(at), slice(at + 1, None))
-    return all(len(set(map(drop_head, f.support))) == size for f in v.focals)
+    rest = v.domain - {head_name}
+    size = math.prod(len(v.frames[n]) for n in rest)
+    project = _projector(tuple(sorted(v.domain)), rest)
+    return all(len(set(map(project, f.support))) == size for f in v.focals)
 
 
 class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tables ballooned label")):
@@ -283,11 +293,9 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
                     )
             _check_bpa_masses(entries, label, cfg)
         combinations = math.prod(len(entries) for entries in normalized.values())
-        if combinations > BALLOON_LIMIT:
-            raise SolverError(
-                "ballooning %r would enumerate %d focal combinations, more than the limit of %d"
-                % (head.name, combinations, BALLOON_LIMIT)
-            )
+        _refuse_past(
+            BALLOON_LIMIT, combinations, "ballooning {1!r} would enumerate {0} focal combinations", head.name
+        )
         at = sum(n < head.name for n in names)  # the head's place in a sorted configuration
         per_parent = [
             [(tuple(c[:at] + ((head.name, r),) + c[at:] for r in subset), m)

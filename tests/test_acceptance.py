@@ -368,14 +368,21 @@ def test_each_combined_focal_has_one_source_and_no_table_conflicts(network_suite
 
     A valid network's step joins at most one raw potential with results that
     are single full-frame focals (A1, the elimination order and condition d),
-    so each combined focal comes from one focal per input, and no decision
-    table records per-focal preferences that conflict.
+    so each combined focal comes from one focal per input, and at a decision
+    every combined focal, marginalized alone as ``--trace`` does, prefers the
+    same act in each context.
     """
     steps = 0
     for net in network_suite + [wildcatter.network]:
         for lam in (0.0, 0.5, 1.0):
             for step in solve(net, lam).trace:
                 assert all(len(sources) == 1 for sources in step.provenance)
-                assert step.solution is None or not step.solution.conflicts
+                if step.solution is not None:
+                    preferences = {}
+                    for focal in step.combined.focals:
+                        alone = step.combined._replace(focals=(focal,))
+                        for x, act in marginalize(alone, net.by_name[step.variable])[1].choices.items():
+                            preferences.setdefault(x, set()).add(act)
+                    assert all(len(acts) == 1 for acts in preferences.values())
                 steps += 1
     assert steps > 1000

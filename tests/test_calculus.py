@@ -235,7 +235,10 @@ class TestEdgeBits:
             cfg(D=d, R=r): value for d in D.frame for r, value in zip(R.frame, rows[d])
         })
         _, table = marginalize(v, D)
-        assert table.conflicts == frozenset()
+        # One focal: the totals are its own values, so no two focals can disagree.
+        assert table.totals == {
+            cfg(R=r): {d: rows[d][i] for d in D.frame} for i, r in enumerate(R.frame)
+        }
         # The tie at gr goes to the first act of the frame.
         assert table.choices == {
             cfg(R="re"): "~d", cfg(R="ye"): "d", cfg(R="gr"): "d", cfg(R="nr"): "d"
@@ -273,7 +276,7 @@ class TestMarginalizeDecision:
             cfg(R="gr"): "d",
             cfg(R="nr"): "d",
         }
-        assert not table.conflicts
+        assert table.totals[cfg(R="ye")] == pytest.approx({"d": -10000.0, "~d": 0.0})
 
     def test_conflicting_focals_are_reported(self):
         frames = {"D": ("d", "~d"), "R": ("re", "ye")}
@@ -297,8 +300,12 @@ class TestMarginalizeDecision:
         # the second, even though no single act attains both.
         assert out.value_at(cfg(R="re")) == pytest.approx(6.0)
         assert table.choices[cfg(R="re")] == "~d"
-        assert table.conflicts == frozenset([cfg(R="re")])
-        # Ties fall back to the frame's declaration order.
+        assert table.totals[cfg(R="re")] == {"d": 1.0, "~d": 5.0}
+        # Alone, as --trace marginalizes them, the two focals prefer different acts.
+        alone = [marginalize(v._replace(focals=(f,)), D)[1].choices[cfg(R="re")] for f in v.focals]
+        assert sorted(alone) == ["d", "~d"]
+        # Ties, recorded as equal totals, fall back to the frame's declaration order.
+        assert table.totals[cfg(R="ye")] == {"d": 0.0, "~d": 0.0}
         assert table.choices[cfg(R="ye")] == "d"
 
     def test_two_decisions_commute(self):

@@ -535,7 +535,11 @@ def test_every_command_ends_in_output_or_one_typed_error(tmp_path, data):
     # The deadline bounds each example: a size blow-up must be refused before its work.
     path = tmp_path / "problem.vn"
     path.write_bytes(data)
-    for command in (["check"], ["solve"], ["sweep", "--lambdas", "0,1"], ["marginal", "--target", "R"]):
+    for command in (
+        ["check"], ["solve"], ["solve", "--trace"], ["solve", "--machine"],
+        ["sweep", "--lambdas", "0,1"], ["sweep", "--machine", "--lambdas", "0,1"],
+        ["marginal", "--target", "R"], ["marginal", "--machine", "--target", "R"],
+    ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(command + [str(path)])

@@ -30,10 +30,10 @@ def first_best(values, frame):
 def reference_step(v, variable, lam=None):
     """Remove ``variable`` from ``v`` by the definition of the deletion rule.
 
-    Returns (focals, contributions, totals, preferences): focals maps each
-    projected support (a frozenset) to {x: value} and contributions maps it to
-    {(source focal index, x): value}.  For a decision, totals maps x to the
-    per-act sums and preferences maps x to the best act of each source focal.
+    Returns (focals, contributions, totals): focals maps each projected
+    support (a frozenset) to {x: value} and contributions maps it to
+    {(source focal index, x): value}.  For a decision, totals maps x to
+    {act: the values to sum}.
     """
     name = variable.name
     rest = v.domain - {name}
@@ -41,7 +41,7 @@ def reference_step(v, variable, lam=None):
     for idx, f in enumerate(v.focals):
         proj = frozenset(project_config(y, rest) for y in f.support)
         groups.setdefault(proj, []).append((idx, f))
-    focals, contributions, totals, preferences = {}, {}, {}, {}
+    focals, contributions, totals = {}, {}, {}
     for proj, members in groups.items():
         values, contribs = {}, {}
         for x in proj:
@@ -54,7 +54,6 @@ def reference_step(v, variable, lam=None):
                     value = max(by_act.values())
                     for act, val in by_act.items():
                         totals.setdefault(x, {}).setdefault(act, []).append(val)
-                    preferences.setdefault(x, set()).add(first_best(by_act, variable.frame))
                 else:
                     value = lam * max(ext.values()) + (1.0 - lam) * min(ext.values())
                 contribs[(idx, x)] = value
@@ -63,12 +62,12 @@ def reference_step(v, variable, lam=None):
             continue
         focals[proj] = values
         contributions[proj] = contribs
-    return focals, contributions, totals, preferences
+    return focals, contributions, totals
 
 
 def check_step(v, variable, lam=None):
     result, table = marginalize(v, variable, lam=lam)
-    focals, ref_contributions, totals, preferences = reference_step(v, variable, lam)
+    focals, ref_contributions, totals = reference_step(v, variable, lam)
     assert result.domain == v.domain - {variable.name}
     # Each support is a nonempty set of configurations over the result's domain.
     assert all(f.support for f in result.focals)
@@ -90,16 +89,18 @@ def check_step(v, variable, lam=None):
         assert table is None
         return result
     assert table.context == tuple(sorted(result.domain))
-    assert set(table.choices) == set(totals)
+    assert set(table.choices) == set(table.totals) == set(totals)
     for x, acts in totals.items():
         sums = {act: sum(vals) for act, vals in acts.items()}
         best = max(sums.values())
         # Summation order may differ from the reference's: allow rounding.
-        near = [a for a, s in sums.items() if best - s <= 1e-9 * max(1.0, abs(best))]
+        slack = 1e-9 * max(1.0, abs(best))
+        assert table.totals[x].keys() == sums.keys()
+        assert all(abs(table.totals[x][a] - s) <= slack for a, s in sums.items())
+        near = [a for a, s in sums.items() if best - s <= slack]
         assert table.choices[x] in near
         if len(near) == 1:
             assert table.choices[x] == first_best(sums, variable.frame)
-    assert table.conflicts == frozenset(x for x, p in preferences.items() if len(p) > 1)
     return result
 
 
@@ -135,7 +136,7 @@ def reference_forced_step(v, variable, choices):
 
 def check_forced_step(v, variable):
     """Force ``variable`` with the reference's best acts; True if the step succeeds."""
-    _, _, totals, _ = reference_step(v, variable)
+    _, _, totals = reference_step(v, variable)
     choices = {
         x: first_best({act: sum(vals) for act, vals in acts.items()}, variable.frame)
         for x, acts in totals.items()

@@ -69,7 +69,11 @@ class TestWildcatter:
             cfg(R="nr"): "d",
         }
         assert result.solutions["T"].choices == {DIAMOND: "t"}
-        assert not result.solutions["D"].conflicts
+        # The per-act totals each choice maximizes; the expected value is T's best.
+        totals = result.solutions["D"].totals
+        assert totals[cfg(R="re")] == pytest.approx({"d": -70000.0, "~d": 0.0})
+        assert totals[cfg(R="gr")] == pytest.approx({"d": 125000.0, "~d": 0.0})
+        assert result.solutions["T"].totals == {DIAMOND: pytest.approx({"t": 27500.0, "~t": 500.0})}
 
     def test_strategy(self, wildcatter):
         result = solve(wildcatter.network, 0.5)
@@ -386,3 +390,17 @@ class TestGuards:
         net = Network(variables, utilities)
         with pytest.raises(SolverError):
             oracle_solve(net, 0.5)
+
+    def test_oracle_limit_counts_the_joint_frame(self, wildcatter, monkeypatch):
+        net = wildcatter.network  # T, R, D and O have 2, 4, 2 and 3 values
+        monkeypatch.setattr(solver, "ORACLE_LIMIT", 48)
+        assert oracle_solve(net, 0.5).expected_value == pytest.approx(27500.0)
+        monkeypatch.setattr(solver, "ORACLE_LIMIT", 47)
+        combined = []
+        monkeypatch.setattr(solver, "combine_all", lambda pool: combined.append(pool))
+        with pytest.raises(SolverError) as exc:
+            oracle_solve(net, 0.5)
+        assert str(exc.value) == (
+            "the oracle's joint frame would hold 48 configurations, more than the limit of 47"
+        )
+        assert combined == []  # refused before any combination
