@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import namedtuple
-from functools import reduce
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError, _refuse_past
-from .model import DIAMOND, RANDOM, Variable, _projector
-from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, canonical_focals
+from .model import DIAMOND, RANDOM, Variable, _projector, value_reader
+from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, _fold, canonical_focals
 
 CONFLICT_TOL = 1e-12
 # Most combinations of one focal per input that ``combine_all_traced`` joins.
@@ -271,13 +269,13 @@ def marginalize(v, variable, lam=None, policy=None):
     # here; any other is split by projection: at a decision into {act: value},
     # since x and an act fix the configuration, else into a list of values.
     domain = tuple(sorted(v.domain))
-    project, pos = _projector(domain, rest), domain.index(name)
+    project, act = _projector(domain, rest), value_reader(domain, name)
     groups = {}
     for f in v.focals:
         slices = dict.fromkeys(map(project, f.support)) if belief else {}
         if is_dec:
             for y, val in f.values.items():
-                slices.setdefault(project(y), {})[y[pos][1]] = val
+                slices.setdefault(project(y), {})[act(y)] = val
         elif not belief:
             for y, val in f.values.items():
                 slices.setdefault(project(y), []).append(val)
@@ -291,8 +289,8 @@ def marginalize(v, variable, lam=None, policy=None):
     # The groups are distinct supports: sorting them and dropping zero-mass
     # belief focals is all that canonical_focals would add.
     for support in _focal_order(groups):
-        if belief:  # a plain left fold: sum() compensates float rounding from Python 3.12
-            values = dict.fromkeys(support, reduce(operator.add, groups[support], 0.0))
+        if belief:
+            values = dict.fromkeys(support, _fold(groups[support]))
             if any(values.values()):
                 focals.append(Focal(support, _finite(values, "marginal value")))
             continue

@@ -9,7 +9,7 @@ import sys
 
 from .calculus import check_lambda, marginalize
 from .errors import ProblemFormatError, ValnetError
-from .model import DIAMOND, _projector
+from .model import DIAMOND, _projector, values_reader
 from .network import validate
 from .problemfile import parse_problem
 from .solver import lambda_sweep, propagate_marginal, solve
@@ -119,9 +119,8 @@ def _fmt(value):
 
 def _formatter(network, names):
     """Function from a configuration over ``names`` to its values in declaration order."""
-    names = sorted(names)
-    at = sorted(range(len(names)), key=lambda i: network.decl_index[names[i]])
-    return lambda cfg: " ".join([cfg[i][1] for i in at])
+    read = values_reader(names, tuple(sorted(names, key=network.decl_index.__getitem__)))
+    return lambda cfg: " ".join(read(cfg))
 
 
 def _psi_tables(network, result):

@@ -4,8 +4,12 @@ A configuration is represented as a tuple of (variable, value) pairs sorted
 by variable name, which makes equality and hashing canonical regardless of
 how the configuration was assembled.  The unique configuration of the empty
 variable set is the empty tuple, DIAMOND.  A set of configurations (a focal's
-support) is a plain frozenset of them; its domain is the valuation's, checked
-where a set enters the program (``make_bpa``, ``belief_of``).
+support) is a plain frozenset of them; its domain is the valuation's.
+
+This module is the only one that knows that layout.  Other modules build,
+read, project and extend configurations through the functions below, most of
+which make a function once per list of variables, and ``config_judge`` judges
+every configuration that enters the program from outside.
 """
 
 from __future__ import annotations
@@ -78,13 +82,65 @@ def _projector(names, domain):
     return operator.itemgetter(*positions) if positions else lambda x: DIAMOND
 
 
-def config_maker(names):
-    """Function from values listed in the order of ``names`` to their configuration."""
-    # (name, place) pairs stay distinct where a name repeats, and sort as the names do.
-    places = tuple(zip(names, range(len(names))))
-    pick = _projector(places, places)
-    sorted_names = sorted(names)
-    return lambda values: tuple(zip(sorted_names, pick(values)))
+_value = operator.itemgetter(1)
+
+
+def config_judge(names, frames):
+    """Function judging a configuration over the variables ``names`` that enters from outside.
+
+    ``frames`` maps each name to its frame.  The function takes a
+    configuration, or with ``listed=True`` a tuple of values listed in the
+    order of ``names``, and gives back the canonical configuration if it holds
+    exactly these variables, each with a value of its frame; otherwise None.
+    Frame membership alone decides, so a value may itself be a tuple.  Input
+    that is not such a tuple, or holds a value that cannot be hashed, gives
+    None as well.
+    """
+    names = tuple(names)
+    ordered = tuple(sorted(names))
+    sets = [frozenset(frames[n]) for n in ordered]
+
+    def judge(x, listed=False):
+        if not isinstance(x, tuple) or len(x) != len(names):
+            return None
+        try:
+            if listed:
+                x = tuple(sorted(zip(names, x)))  # values are compared only where a name repeats
+            elif x != tuple(zip(ordered, map(_value, x))):  # other names, or not pairs
+                return None
+            return x if all(map(operator.contains, sets, map(_value, x))) else None
+        except (TypeError, IndexError):  # an item that is not a pair, or a value without a hash
+            return None
+
+    return judge
+
+
+@lru_cache(maxsize=4096)
+def values_reader(domain, names):
+    """Function from a configuration over ``domain`` to its values of ``names``, in that order."""
+    at = [sorted(domain).index(n) for n in names]
+    return lambda x: tuple([x[i][1] for i in at])
+
+
+@lru_cache(maxsize=4096)
+def value_reader(domain, name):
+    """Function from a configuration over ``domain`` to its value of ``name``."""
+    at = sorted(domain).index(name)
+    return lambda x: x[at][1]
+
+
+def config_mapping(x):
+    """The {variable: value} mapping of configuration x, as ``make_config`` takes it."""
+    return dict(x)
+
+
+@lru_cache(maxsize=4096)
+def config_extender(names, extra, domain):
+    """Function from a configuration over ``names`` and values listed for the
+    names ``extra`` to the joint configuration's items over ``domain``."""
+    joined = tuple(sorted(names)) + extra
+    project = _projector(joined, domain)
+    return lambda x, values: project(x + tuple(zip(extra, values)))
 
 
 def project_config(x, h):

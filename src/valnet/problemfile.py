@@ -27,7 +27,7 @@ from itertools import accumulate, compress, repeat
 
 from .calculus import check_lambda
 from .errors import ProblemFormatError, SolverError, ValnetError
-from .model import Variable, config_maker, iter_configs
+from .model import Variable, config_judge, iter_configs, values_reader
 from .network import Network
 from .valuation import conditional, make_utility
 
@@ -185,7 +185,7 @@ def _parse_utility(b, stmt, lineno):
     b.claim_label(label, lineno)
     names = _split_list(var_body)
     variables = [b.need_var(n, lineno) for n in names]
-    to_config = config_maker(names)
+    to_config = config_judge(names, {v.name: v.frame for v in variables})
     entries = _entries(body)
     size = math.prod(len(v.frame) for v in variables)
     # A table too short to be complete never builds the frame product.
@@ -198,6 +198,8 @@ def _parse_utility(b, stmt, lineno):
         row, number = m2.groups()
         tokens = tuple(row.split())
         cfg = lookup.get(tokens)
+        if cfg is None:
+            cfg = to_config(tokens, listed=True)
         if cfg is None:  # name the first bad token
             if len(tokens) != len(variables):
                 raise ProblemFormatError(
@@ -206,7 +208,6 @@ def _parse_utility(b, stmt, lineno):
                 )
             for v, t in zip(variables, tokens):
                 b.need_value(v, t, lineno)
-            cfg = to_config(tokens)
         if cfg in table:
             raise ProblemFormatError("duplicate utility entry %r" % entry, lineno)
         table[cfg] = _parse_number(number, lineno, "utility value")
@@ -234,7 +235,7 @@ def _parse_bpa(b, stmt, lineno):
     head = b.need_var(head_name, lineno)
     parent_names = _split_list(parent_body or "")
     parents = [b.need_var(n, lineno) for n in parent_names]
-    to_config = config_maker(parent_names)
+    to_config = config_judge(parent_names, {p.name: p.frame for p in parents})
     head_frame = frozenset(head.frame)
     configs = {}  # parent tokens -> configuration, checked and built once
     tables = {}
@@ -245,6 +246,8 @@ def _parse_bpa(b, stmt, lineno):
         ptokens = tuple((m2.group(1) or "").split())
         cfg = configs.get(ptokens)
         if cfg is None:
+            cfg = configs[ptokens] = to_config(ptokens, listed=True)
+        if cfg is None:  # name the first bad token
             if len(ptokens) != len(parents):
                 raise ProblemFormatError(
                     "bpa entry %r needs one value per parent of %r" % (entry, parent_names),
@@ -252,7 +255,6 @@ def _parse_bpa(b, stmt, lineno):
                 )
             for p, t in zip(parents, ptokens):
                 b.need_value(p, t, lineno)
-            cfg = configs[ptokens] = to_config(ptokens)
         tokens = _split_list(m2.group(2))
         subset = frozenset(tokens)
         if not subset <= head_frame:  # name the first bad token
@@ -289,13 +291,8 @@ def serialize(network, lam=None):
     decl = [v.name for v in network.variables]
     for i, u in enumerate(network.utilities):
         names = sorted(u.domain, key=decl.index)
-        rows = []
-        focal = u.focals[0]
-        for cfg in sorted(focal.values, key=lambda c: [decl.index(n) for n, _ in c]):
-            values = dict(cfg)
-            rows.append(
-                "  %s = %r" % (" ".join(values[n] for n in names), focal.values[cfg])
-            )
+        read = values_reader(u.domain, tuple(names))
+        rows = ["  %s = %r" % (" ".join(read(cfg)), value) for cfg, value in u.focals[0].values.items()]
         lines.append("")
         lines.append("utility %s on {%s} {" % (u.label or "u%d" % i, ", ".join(names)))
         lines.append(";\n".join(rows))
@@ -303,11 +300,11 @@ def serialize(network, lam=None):
     for i, p in enumerate(network.potentials):
         pnames = [q.name for q in p.parents]
         scope = p.head.name if not pnames else "%s | %s" % (p.head.name, ", ".join(pnames))
+        read = values_reader(tuple(pnames), tuple(pnames))
         rows = []
-        for cfg in sorted(p.tables, key=lambda c: [decl.index(n) for n, _ in c]):
-            values = dict(cfg)
-            prefix = " ".join(values[n] for n in pnames)
-            for subset, mass in p.tables[cfg]:
+        for cfg, entries in p.tables.items():
+            prefix = " ".join(read(cfg))
+            for subset, mass in entries:
                 members = ", ".join(sorted(subset, key=list(p.head.frame).index))
                 entry = "{%s} = %r" % (members, mass)
                 rows.append("  %s : %s" % (prefix, entry) if pnames else "  " + entry)

@@ -20,7 +20,7 @@ from .calculus import (
     marginalize_belief,  # not called here; the benchmark's tracer wraps this name
 )
 from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError, _refuse_past
-from .model import DIAMOND, DECISION, _projector, all_configs, make_config
+from .model import DIAMOND, DECISION, _projector, all_configs, config_extender, config_judge, value_reader, values_reader
 from .network import elimination_order, validate
 
 # Most configurations of the joint frame that ``oracle_solve`` combines over.
@@ -49,18 +49,20 @@ class Strategy(namedtuple("Strategy", "tables")):
 
         Raises NetworkError for a decision without a table,
         DomainMismatchError for a missing or out-of-frame value and
-        SolverError for a context without mass.
+        SolverError for a context without mass.  The frames are the values
+        the table's configurations hold.
         """
         if decision not in self.tables:
             raise NetworkError("the strategy has no table for %r" % decision)
         names, mapping = self.tables[decision]
-        values = {n: assignment.get(n) for n in names}
-        key = make_config(values)
-        if key not in mapping:
-            frames = {n: sorted({dict(x)[n] for x in mapping}) for n in names}
-            bad = next(n for n in names if values[n] not in frames[n])
+        values = tuple([assignment.get(n) for n in names])
+        columns = zip(*map(values_reader(names, names), mapping))
+        frames = {n: sorted(set(column)) for n, column in zip(names, columns)}
+        key = config_judge(names, frames)(values, listed=True)
+        if key is None:
+            bad, value = next((n, x) for n, x in zip(names, values) if x not in frames[n])
             raise DomainMismatchError(
-                "deciding %r needs %r in %r, got %r" % (decision, bad, frames[bad], values[bad])
+                "deciding %r needs %r in %r, got %r" % (decision, bad, frames[bad], value)
             )
         if mapping[key] is None:
             raise SolverError(
@@ -168,15 +170,14 @@ def build_strategy(network, solutions, order):
         _refuse_past(STRATEGY_LIMIT, total, "the strategy would hold {0} entries with the map for {1!r}", name)
         plans[name] = (table, names, earlier)
     for name, (table, names, earlier) in plans.items():
-        # A configuration over ``names`` followed by the earlier decisions'
-        # (name, act) pairs projects onto each key by fixed positions.
+        # A configuration over ``names``, extended by the earlier decisions'
+        # acts, projects onto each key by fixed positions.
         ordered = tuple(sorted(names))
-        inner = [(n, _projector(ordered, tables[n][0]), tables[n][1]) for n in earlier]
-        project = _projector(ordered + tuple(earlier), tuple(table.context))
+        inner = [(_projector(ordered, tables[n][0]), tables[n][1]) for n in earlier]
+        extend = config_extender(names, tuple(earlier), tuple(table.context))
         mapping = {}
         for cfg in all_configs(names, network.frames):
-            chosen = tuple([(n, acts[key(cfg)]) for n, key, acts in inner])
-            mapping[cfg] = table.choices.get(project(cfg + chosen))
+            mapping[cfg] = table.choices.get(extend(cfg, [acts[key(cfg)] for key, acts in inner]))
         tables[name] = (names, mapping)
     return Strategy(tables)
 
@@ -238,6 +239,7 @@ def expected_interval(network):
     """
     d, r, pi, rho = canonical_parts(network)
     combined = combine_all([pi, rho.ballooned])
+    act_of = value_reader(combined.domain, d.name)
     bounds = {}
     for act in d.frame:
         lo = hi = 0.0
@@ -245,7 +247,7 @@ def expected_interval(network):
             ext = [
                 f.values[y]
                 for y in f.support
-                if dict(y)[d.name] == act
+                if act_of(y) == act
             ]
             if not ext:
                 continue

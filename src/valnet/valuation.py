@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
+from functools import reduce
 from itertools import chain
 
 from .errors import DomainMismatchError, KindError, MassError, NetworkError, UtilityError, _refuse_past
-from .model import DIAMOND, Variable, _projector, all_configs, iter_configs, make_config
+from .model import DIAMOND, Variable, _projector, all_configs, config_extender, config_judge, config_mapping, iter_configs
 
 BELIEF = "belief"
 UTILITY = "utility"
@@ -65,8 +67,16 @@ class Valuation(namedtuple("Valuation", "domain frames kind focals label", defau
         return math.prod(len(self.frames[n]) for n in self.domain)
 
     def value_at(self, x):
-        """Total value of configuration x summed over the focals containing it."""
-        return sum(f.values[x] for f in self.focals if x in f.support)
+        """Total value of configuration x summed over the focals containing it, in focal order."""
+        return _fold(f.values[x] for f in self.focals if x in f.support)
+
+
+def _fold(values):
+    """Masses added by a plain left fold, the same floats on every Python version.
+
+    sum() compensates float rounding from Python 3.12 on.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def frames_of(variables):
@@ -107,7 +117,7 @@ def canonical_focals(items, kind):
 
 
 def _mass_error(label, cfg, message):
-    where = "bpa %r, parent %r" % (label, dict(cfg)) if cfg else "bpa %r" % label
+    where = "bpa %r, parent %r" % (label, config_mapping(cfg)) if cfg else "bpa %r" % label
     return MassError("%s: %s" % (where, message))
 
 
@@ -124,15 +134,16 @@ def _check_bpa_masses(assignments, label, cfg=DIAMOND):
         raise _mass_error(label, cfg, "masses sum to %.12g, expected 1" % total)
 
 
-def _support_over(configs, domain):
-    """The configurations as a frozenset, checked to be nonempty and over ``domain``."""
+def _support_over(configs, frames):
+    """The configurations as a frozenset, checked to be nonempty and judged over ``frames``."""
     support = frozenset(configs)
     if not support:
         raise DomainMismatchError("a configuration set must be nonempty")
+    judge = config_judge(frames, frames)
     for x in support:
-        if {name for name, _ in x} != domain:
+        if judge(x) is None:
             raise DomainMismatchError(
-                "configuration %r is not over domain %r" % (x, sorted(domain))
+                "configuration %r is not over domain %r within its frames" % (x, sorted(frames))
             )
     return support
 
@@ -157,7 +168,7 @@ def make_bpa(variables, assignments, label=""):
     variables = list(variables)
     domain = _domain(variables)
     frames = frames_of(variables)
-    assignments = [(_support_over(configs, domain), mass) for configs, mass in assignments]
+    assignments = [(_support_over(configs, frames), mass) for configs, mass in assignments]
     _check_bpa_masses(assignments, label)
     items = [
         (support, {x: float(mass) for x in support})
@@ -179,7 +190,7 @@ def make_utility(variables, table, label=""):
     size = math.prod(len(f) for f in frames.values())
     # Counted first, so that a short table never builds the frame product.
     if len(table) < size or table.keys() != (support := frozenset(iter_configs(domain, frames))):
-        raise _coverage_error(label, sorted(domain), frames, table, size)
+        raise _coverage_error(label, frames, table, size)
     values = {x: float(v) + 0.0 for x, v in table.items()}  # -0.0 becomes 0.0
     if not all(map(math.isfinite, values.values())):
         bad = sorted(x for x, v in values.items() if not math.isfinite(v))
@@ -187,17 +198,13 @@ def make_utility(variables, table, label=""):
     return Valuation(domain, frames, UTILITY, (Focal(support, values),), label)
 
 
-def _coverage_error(label, names, frames, table, size):
+def _coverage_error(label, frames, table, size):
     """Name a row outside the frame product, or else the smallest missing one."""
-    frame_sets = {n: set(frames[n]) for n in names}
+    judge = config_judge(frames, frames)
     for x in table:
-        try:
-            inside = [n for n, _ in x] == names and all(v in frame_sets[n] for n, v in x)
-        except (TypeError, ValueError):  # not a tuple of pairs
-            inside = False
-        if not inside:
+        if judge(x) is None:
             return DomainMismatchError("utility %r has a row %r outside its frame" % (label, x))
-    lexical = iter_configs(names, {n: sorted(frames[n]) for n in names})
+    lexical = iter_configs(frames, {n: sorted(f) for n, f in frames.items()})
     first = next(x for x in lexical if x not in table)
     return DomainMismatchError(
         "utility %r is missing %d configuration(s), e.g. %r" % (label, size - len(table), first)
@@ -217,8 +224,8 @@ def belief_of(v, a):
     """Bel(a): total mass of the focals contained in the configurations a."""
     if v.kind != BELIEF:
         raise KindError("belief_of needs a belief valuation, got %r" % v.kind)
-    a = _support_over(a, v.domain)
-    return sum(f.mass for f in v.focals if f.support <= a)
+    a = _support_over(a, v.frames)
+    return _fold(f.mass for f in v.focals if f.support <= a)
 
 
 def is_vacuous(v):
@@ -252,9 +259,8 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
     (head-value subset, mass) pairs.  Each focal of the joint bpa ``ballooned``
     picks one focal per parent configuration: its support is the union of the
     picked slices, its mass their product.  Each entry's slice is built once:
-    a cell per value of its subset, with ``(head, value)`` inserted into the
-    parent configuration at the head's place in name order, so no cell is
-    sorted.  More than ``BALLOON_LIMIT`` picks raise ``SolverError`` before any pick.
+    a cell per value of its subset, the parent configuration extended by the
+    head's value.  More than ``BALLOON_LIMIT`` picks raise ``SolverError`` before any pick.
     """
 
     __slots__ = ()
@@ -267,9 +273,9 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
         names = [p.name for p in parents]
         if head.name in names or len(set(names)) != len(names):
             raise NetworkError("bad parent list for bpa %r" % label)
-        normalized = _parent_tables(parents, tables)
-        parent_names = frozenset(names)
         frames = frames_of(parents + (head,))
+        normalized = _parent_tables(names, frames, tables)
+        parent_names = frozenset(names)
         count = math.prod(len(p.frame) for p in parents)
         # Counted first, so that a short table never builds the frame product.
         enumerate_configs = all_configs if len(normalized) == count else iter_configs
@@ -279,8 +285,6 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
             raise DomainMismatchError(
                 "bpa %r has no entries for parent configuration %r" % (label, missing)
             )
-        if len(normalized) != count:
-            raise DomainMismatchError("bpa %r has a table outside the parents' frames" % label)
         head_frame = set(head.frame)
         for cfg, entries in normalized.items():
             for subset, _ in entries:
@@ -296,10 +300,9 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
         _refuse_past(
             BALLOON_LIMIT, combinations, "ballooning {1!r} would enumerate {0} focal combinations", head.name
         )
-        at = sum(n < head.name for n in names)  # the head's place in a sorted configuration
+        extend = config_extender(tuple(names), (head.name,), tuple(sorted(frames)))
         per_parent = [
-            [(tuple(c[:at] + ((head.name, r),) + c[at:] for r in subset), m)
-             for subset, m in normalized[c]]
+            [(tuple(extend(c, (r,)) for r in subset), m) for subset, m in normalized[c]]
             for c in parent_configs
         ]
         items = []
@@ -334,21 +337,23 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
         return self.ballooned.domain
 
 
-def _parent_tables(parents, tables):
+def _parent_tables(names, frames, tables):
     """Per-parent tables keyed by canonical parent configurations.
 
-    A key is either a canonical parent configuration or a tuple of parent
-    values (a bare value for one parent) in the order the parents are listed.
+    A key is a canonical parent configuration, a tuple of parent values in
+    the order the parents are listed, or a bare value for one parent: the
+    first of these readings that ``config_judge`` accepts, by frame
+    membership, is the key's.
     """
-    names = [p.name for p in parents]
-    name_set = set(names)
+    judge = config_judge(names, frames)
     normalized = {}
     for key, entries in tables.items():
-        cfg = key
-        if not (isinstance(key, tuple) and (not key or isinstance(key[0], tuple))):
-            values = key if isinstance(key, tuple) else (key,)
-            cfg = make_config(dict(zip(names, values))) if len(values) == len(names) else None
-        if cfg is None or {n for n, _ in cfg} != name_set:
+        cfg = judge(key)
+        if cfg is None:
+            cfg = judge(key, listed=True)
+        if cfg is None:
+            cfg = judge((key,), listed=True)
+        if cfg is None:
             raise DomainMismatchError("parent key %r does not match parents %r" % (key, names))
         if cfg in normalized:
             raise DomainMismatchError("duplicate table for parent %r" % (cfg,))

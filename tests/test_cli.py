@@ -494,6 +494,19 @@ def test_marginal_machine_output_matches_the_golden_bytes(capsys, tmp_path):
     assert (code, out, err) == (EXIT_OK, (GOLDEN / "chain_marginal_machine.out").read_text(), "")
 
 
+# Declarations out of name order: variables, a utility on {R, D} and bpas
+# whose parents are listed out of name order with the head sorting between
+# them, where positional reads of configurations could go wrong.
+@pytest.mark.parametrize("argv, golden", [
+    (["solve", "--machine", "shuffled.vn"], "shuffled_solve_machine.out"),
+    (["solve", "--trace", "shuffled.vn"], "shuffled_trace.out"),
+    (["marginal", "--machine", "--target", "M", "shuffled_belief.vn"], "shuffled_marginal_machine.out"),
+])
+def test_declarations_out_of_name_order_match_the_golden_bytes(capsys, argv, golden):
+    *options, name = argv
+    assert run(capsys, *options, str(GOLDEN / name)) == (EXIT_OK, (GOLDEN / golden).read_text(), "")
+
+
 # The one stderr line each error exit ends in; an invalid network prints one
 # finding per line.
 ERROR_LINE = {

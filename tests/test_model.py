@@ -15,7 +15,15 @@ from valnet import (
     project_config,
     random_var,
 )
-from valnet.model import all_configs, iter_configs
+from valnet.model import (
+    all_configs,
+    config_extender,
+    config_judge,
+    config_mapping,
+    iter_configs,
+    value_reader,
+    values_reader,
+)
 
 FRAMES = {
     "T": ("t", "~t"),
@@ -131,6 +139,65 @@ def test_concat_then_project_recovers_arguments(x, y):
     joined = concat_configs(x, y)
     assert project_config(joined, config_domain(x)) == x
     assert project_config(joined, config_domain(y)) == y
+
+
+class TestConfigJudge:
+    judge = staticmethod(config_judge(["R", "D"], FRAMES))
+
+    def test_gives_back_a_configuration_of_its_variables(self):
+        x = cfg(R="re", D="d")
+        assert self.judge(x) is x
+
+    def test_builds_a_configuration_from_values_listed_in_order(self):
+        assert self.judge(("re", "d"), listed=True) == cfg(R="re", D="d")
+
+    @pytest.mark.parametrize("x", [
+        cfg(R="re"), cfg(R="re", D="d", O="dr"), cfg(R="zz", D="d"), DIAMOND,
+        (("R", "re"), ("D", "d")), (("D", "d"), "Rr"), (("D", "d"), ("R", "re", "x")),
+        (("D", ["d"]), ("R", "re")), ["D", "d"], "Dd",
+    ], ids=["narrower", "wider", "outside-frame", "diamond", "unsorted", "not-a-pair",
+            "a-triple", "unhashable", "a-list", "a-string"])
+    def test_refuses_anything_else(self, x):
+        assert self.judge(x) is None
+
+    @pytest.mark.parametrize("values", [
+        ("d", "re"), ("re",), ("re", "d", "dr"), ("re", ["d"]), "re", ["re", "d"],
+    ], ids=["out-of-order", "short", "long", "unhashable", "a-string", "a-list"])
+    def test_refuses_other_listed_values(self, values):
+        assert self.judge(values, listed=True) is None
+
+    def test_frame_membership_decides_for_tuple_values(self):
+        judge = config_judge(["A"], {"A": [(1, 2), (3, 4)]})
+        x = cfg(A=(1, 2))
+        assert judge(x) is x
+        assert judge(((1, 2),), listed=True) == x
+        assert judge((1, 2), listed=True) is None
+        assert judge((("A", 1),)) is None
+
+
+def test_readers_take_values_in_the_order_asked():
+    x = cfg(T="t", R="re", O="dr")
+    assert values_reader(("O", "R", "T"), ("T", "O", "R"))(x) == ("t", "dr", "re")
+    assert values_reader(frozenset("ORT"), ())(x) == ()
+    assert value_reader(("O", "R", "T"), "R")(x) == "re"
+    assert config_mapping(x) == {"T": "t", "R": "re", "O": "dr"}
+    assert make_config(config_mapping(x)) == x
+
+
+def test_extender_joins_listed_values_and_projects():
+    x = cfg(T="t", R="re")
+    assert config_extender(("T", "R"), ("D",), ("D", "R", "T"))(x, ["d"]) == cfg(T="t", R="re", D="d")
+    assert config_extender(("T", "R"), ("O", "D"), ("D", "T"))(x, ["dr", "d"]) == cfg(T="t", D="d")
+    assert config_extender(("T", "R"), (), ())(x, []) == DIAMOND
+
+
+@given(configs, st.randoms(use_true_random=False))
+def test_judging_values_read_in_any_order_gives_the_configuration_back(x, rng):
+    names = sorted(config_domain(x))
+    rng.shuffle(names)
+    read = values_reader(tuple(sorted(names)), tuple(names))
+    assert config_judge(names, FRAMES)(read(x), listed=True) == x
+    assert config_judge(names, FRAMES)(x) is x
 
 
 def test_all_configs_order_is_deterministic():

@@ -24,7 +24,7 @@ from valnet import (
 from valnet.calculus import check_lambda
 from valnet.cli import EXIT_OK, main
 
-from conftest import WILDCATTER_PATH
+from conftest import GOLDEN, WILDCATTER_PATH
 from netgen import random_network
 
 
@@ -52,6 +52,13 @@ class TestWildcatterFile:
     def test_round_trip_solves_identically(self, wildcatter):
         again = parse_problem(serialize(wildcatter.network, wildcatter.lam))
         assert solve(again.network, again.lam).expected_value == pytest.approx(27500.0)
+
+
+def test_serialize_keeps_the_listed_order_of_shuffled_declarations():
+    parsed = parse_problem((GOLDEN / "shuffled.vn").read_text())
+    text = serialize(parsed.network, parsed.lam)
+    assert text == (GOLDEN / "shuffled_serialized.vn").read_text()
+    assert parse_problem(text) == parsed
 
 
 def test_generated_networks_round_trip():

@@ -94,6 +94,11 @@ class TestWildcatter:
         with pytest.raises(DomainMismatchError, match="needs 'R' in .*got 'zz'"):
             solve(wildcatter.network, 0.5).strategy.decide("D", {"R": "zz"})
 
+    def test_decide_with_a_value_without_a_hash_names_the_variable(self, wildcatter):
+        # The lookup once hashed the value and raised TypeError.
+        with pytest.raises(DomainMismatchError, match=r"needs 'R' in .*got \['gr'\]"):
+            solve(wildcatter.network, 0.5).strategy.decide("D", {"R": ["gr"]})
+
     def test_oracle_agrees(self, wildcatter):
         for lam in (0.0, 0.3, 0.5, 1.0):
             fused = solve(wildcatter.network, lam)
