@@ -29,10 +29,8 @@ from .model import (
     DIAMOND,
     Variable,
     all_configs,
-    concat_configs,
     decision,
     make_config,
-    project_config,
     random_var,
 )
 from .network import Network, ValidationReport, elimination_order, validate
@@ -43,7 +41,6 @@ from .solver import (
     Strategy,
     UtilityInterval,
     bayesian_check,
-    evaluate_strategy,
     expected_interval,
     fuse,
     lambda_sweep,

@@ -1,4 +1,4 @@
-"""Variables, frames, configurations and their projection and concatenation.
+"""Variables, frames and configurations: building, judging, reading and projecting them.
 
 A configuration is represented as a tuple of (variable, value) pairs sorted
 by variable name, which makes equality and hashing canonical regardless of
@@ -6,10 +6,13 @@ how the configuration was assembled.  The unique configuration of the empty
 variable set is the empty tuple, DIAMOND.  A set of configurations (a focal's
 support) is a plain frozenset of them; its domain is the valuation's.
 
-This module is the only one that knows that layout.  Other modules build,
-read, project and extend configurations through the functions below, most of
-which make a function once per list of variables, and ``config_judge`` judges
-every configuration that enters the program from outside.
+Other modules build, read, project and extend configurations through the
+functions below, most of which make a function once per list of variables;
+``config_judge`` judges every configuration that enters the program from
+outside, and ``listed_configs`` is the one map from listed values to
+configurations.  The layout shows outside this module only where calculus,
+valuation, cli and solver hand ``_projector`` a configuration's names as
+``tuple(sorted(domain))``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DomainMismatchError, NetworkError
+from .errors import NetworkError
 
 DECISION = "decision"
 RANDOM = "random"
@@ -143,21 +146,6 @@ def config_extender(names, extra, domain):
     return lambda x, values: project(x + tuple(zip(extra, values)))
 
 
-def project_config(x, h):
-    """Drop the coordinates of x outside h.  Requires h to be a subset of x's domain."""
-    h = frozenset(h)
-    if not h <= {name for name, _ in x}:
-        raise DomainMismatchError("cannot project %r to %r" % (x, sorted(h)))
-    return tuple(pair for pair in x if pair[0] in h)
-
-
-def concat_configs(x, y):
-    """Join two configurations over disjoint domains into one."""
-    if {name for name, _ in x} & {name for name, _ in y}:
-        raise DomainMismatchError("domains overlap: %r and %r" % (x, y))
-    return tuple(sorted(x + y))
-
-
 def iter_configs(names, frames):
     """Every configuration of the given variables, lazily, in a deterministic order."""
     return itertools.product(*([(n, value) for value in frames[n]] for n in sorted(names)))
@@ -166,3 +154,16 @@ def iter_configs(names, frames):
 def all_configs(names, frames):
     """Every configuration of the given variables, in a deterministic order."""
     return list(iter_configs(names, frames))
+
+
+def listed_configs(names, frames):
+    """{values listed in the order of ``names``: configuration} over the frame product."""
+    # Both products run over the variables in name order, as configurations
+    # sort them; ``back`` puts each tuple of values into the order of ``names``.
+    names = tuple(names)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    values = itertools.product(*(frames[names[i]] for i in order))
+    if order != sorted(order):
+        back = sorted(range(len(order)), key=order.__getitem__)
+        values = map(operator.itemgetter(*back), values)
+    return dict(zip(values, iter_configs(names, frames)))

@@ -18,7 +18,6 @@ span lines):
 
 from __future__ import annotations
 
-import itertools  # product stays a module attribute, which tests replace to count enumerations
 import math
 import operator
 import re
@@ -27,7 +26,7 @@ from itertools import accumulate, compress, repeat
 
 from .calculus import check_lambda
 from .errors import ProblemFormatError, SolverError, ValnetError
-from .model import Variable, config_judge, iter_configs, values_reader
+from .model import Variable, config_judge, listed_configs, values_reader
 from .network import Network
 from .valuation import conditional, make_utility
 
@@ -185,45 +184,48 @@ def _parse_utility(b, stmt, lineno):
     b.claim_label(label, lineno)
     names = _split_list(var_body)
     variables = [b.need_var(n, lineno) for n in names]
-    to_config = config_judge(names, {v.name: v.frame for v in variables})
     entries = _entries(body)
-    size = math.prod(len(v.frame) for v in variables)
-    # A table too short to be complete never builds the frame product.
-    lookup = {} if size > len(entries) else _frame_lookup(names, variables)
+    read = _row_reader(b, variables, len(entries), lineno, "utility entry %r needs one value per variable of %r")
     table = {}
     for entry in entries:
         m2 = _UTILITY_ENTRY.fullmatch(entry)
         if not m2:
             raise ProblemFormatError("malformed utility entry %r" % entry, lineno)
         row, number = m2.groups()
-        tokens = tuple(row.split())
-        cfg = lookup.get(tokens)
-        if cfg is None:
-            cfg = to_config(tokens, listed=True)
-        if cfg is None:  # name the first bad token
-            if len(tokens) != len(variables):
-                raise ProblemFormatError(
-                    "utility entry %r needs one value per variable of %r" % (entry, names),
-                    lineno,
-                )
-            for v, t in zip(variables, tokens):
-                b.need_value(v, t, lineno)
+        cfg = read(tuple(row.split()), entry)
         if cfg in table:
             raise ProblemFormatError("duplicate utility entry %r" % entry, lineno)
         table[cfg] = _parse_number(number, lineno, "utility value")
     b.utilities.append(make_utility(variables, table, label=label))
 
 
-def _frame_lookup(names, variables):
-    """{tuple of values in the order of ``names``: configuration} over the frame product."""
-    # Both products run over the variables in name order, as configurations
-    # sort them; ``back`` puts each tuple of values into the order of ``names``.
-    order = sorted(range(len(names)), key=names.__getitem__)
-    values = itertools.product(*(variables[i].frame for i in order))
-    if order != sorted(order):
-        back = sorted(range(len(order)), key=order.__getitem__)
-        values = map(operator.itemgetter(*back), values)
-    return dict(zip(values, iter_configs(names, {v.name: v.frame for v in variables})))
+def _row_reader(b, variables, rows, lineno, needs):
+    """Function from a row's values, listed as ``variables`` are, and its entry to its configuration.
+
+    A statement of at least as many ``rows`` as the frame product looks its
+    rows up in that product; a shorter one, which cannot be complete, judges
+    each row alone and never builds the product.  A row that is not a
+    configuration raises ``needs`` (formatted with the entry and the names)
+    or names its first bad token.
+    """
+    names = [v.name for v in variables]
+    frames = {v.name: v.frame for v in variables}
+    if rows >= math.prod(len(v.frame) for v in variables):
+        lookup = listed_configs(names, frames).get
+    else:
+        judge = config_judge(names, frames)
+        lookup = lambda tokens: judge(tokens, listed=True)
+
+    def read(tokens, entry):
+        cfg = lookup(tokens)
+        if cfg is None:  # name the first bad token
+            if len(tokens) != len(variables):
+                raise ProblemFormatError(needs % (entry, names), lineno)
+            for v, t in zip(variables, tokens):
+                b.need_value(v, t, lineno)
+        return cfg
+
+    return read
 
 
 def _parse_bpa(b, stmt, lineno):
@@ -235,26 +237,15 @@ def _parse_bpa(b, stmt, lineno):
     head = b.need_var(head_name, lineno)
     parent_names = _split_list(parent_body or "")
     parents = [b.need_var(n, lineno) for n in parent_names]
-    to_config = config_judge(parent_names, {p.name: p.frame for p in parents})
+    entries = _entries(body)
+    read = _row_reader(b, parents, len(entries), lineno, "bpa entry %r needs one value per parent of %r")
     head_frame = frozenset(head.frame)
-    configs = {}  # parent tokens -> configuration, checked and built once
     tables = {}
-    for entry in _entries(body):
+    for entry in entries:
         m2 = _BPA_ENTRY.fullmatch(entry)
         if not m2:
             raise ProblemFormatError("malformed bpa entry %r" % entry, lineno)
-        ptokens = tuple((m2.group(1) or "").split())
-        cfg = configs.get(ptokens)
-        if cfg is None:
-            cfg = configs[ptokens] = to_config(ptokens, listed=True)
-        if cfg is None:  # name the first bad token
-            if len(ptokens) != len(parents):
-                raise ProblemFormatError(
-                    "bpa entry %r needs one value per parent of %r" % (entry, parent_names),
-                    lineno,
-                )
-            for p, t in zip(parents, ptokens):
-                b.need_value(p, t, lineno)
+        cfg = read(tuple((m2.group(1) or "").split()), entry)
         tokens = _split_list(m2.group(2))
         subset = frozenset(tokens)
         if not subset <= head_frame:  # name the first bad token

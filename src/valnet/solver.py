@@ -20,7 +20,7 @@ from .calculus import (
     marginalize_belief,  # not called here; the benchmark's tracer wraps this name
 )
 from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError, _refuse_past
-from .model import DIAMOND, DECISION, _projector, all_configs, config_extender, config_judge, value_reader, values_reader
+from .model import DIAMOND, DECISION, _projector, all_configs, config_extender, make_config, value_reader, values_reader
 from .network import elimination_order, validate
 
 # Most configurations of the joint frame that ``oracle_solve`` combines over.
@@ -47,28 +47,32 @@ class Strategy(namedtuple("Strategy", "tables")):
     def decide(self, decision, assignment):
         """Act for a decision given a {random variable: value} assignment.
 
+        One lookup of the assignment's configuration in the decision's map.
         Raises NetworkError for a decision without a table,
         DomainMismatchError for a missing or out-of-frame value and
-        SolverError for a context without mass.  The frames are the values
-        the table's configurations hold.
+        SolverError for a context without mass.  Only the error reads the
+        frames, as the values the map's configurations hold.
         """
         if decision not in self.tables:
             raise NetworkError("the strategy has no table for %r" % decision)
         names, mapping = self.tables[decision]
-        values = tuple([assignment.get(n) for n in names])
-        columns = zip(*map(values_reader(names, names), mapping))
-        frames = {n: sorted(set(column)) for n, column in zip(names, columns)}
-        key = config_judge(names, frames)(values, listed=True)
-        if key is None:
-            bad, value = next((n, x) for n, x in zip(names, values) if x not in frames[n])
+        key = make_config({n: assignment.get(n) for n in names})
+        try:
+            act = mapping[key]
+        except (KeyError, TypeError):  # a value outside its frame, or without a hash
+            columns = zip(*map(values_reader(names, names), mapping))
+            frames = {n: sorted(set(column)) for n, column in zip(names, columns)}
+            bad = next((n for n in names if assignment.get(n) not in frames[n]), None)
+            if bad is None:  # a map built by hand that lacks this configuration
+                raise
             raise DomainMismatchError(
-                "deciding %r needs %r in %r, got %r" % (decision, bad, frames[bad], value)
-            )
-        if mapping[key] is None:
+                "deciding %r needs %r in %r, got %r" % (decision, bad, frames[bad], assignment.get(bad))
+            ) from None
+        if act is None:
             raise SolverError(
                 "the strategy has no act for %r at %r, a context without mass" % (decision, key)
             )
-        return mapping[key]
+        return act
 
 
 SolveResult = namedtuple("SolveResult", "lam expected_value solutions strategy trace")
@@ -180,12 +184,6 @@ def build_strategy(network, solutions, order):
             mapping[cfg] = table.choices.get(extend(cfg, [acts[key(cfg)] for key, acts in inner]))
         tables[name] = (names, mapping)
     return Strategy(tables)
-
-
-def evaluate_strategy(network, lam, result):
-    """Re-solve with the recorded solution tables forced; equals the optimum."""
-    replay = solve(network, lam, policy_tables=result.solutions)
-    return replay.expected_value
 
 
 def oracle_solve(network, lam):

@@ -135,17 +135,21 @@ def _check_bpa_masses(assignments, label, cfg=DIAMOND):
 
 
 def _support_over(configs, frames):
-    """The configurations as a frozenset, checked to be nonempty and judged over ``frames``."""
-    support = frozenset(configs)
-    if not support:
+    """The configurations as a frozenset, checked to be nonempty and judged over ``frames``.
+
+    Each is judged before any is hashed, in the caller's order, so the first
+    refused configuration is named, whatever the hash seed.
+    """
+    configs = list(configs)
+    if not configs:
         raise DomainMismatchError("a configuration set must be nonempty")
     judge = config_judge(frames, frames)
-    for x in support:
+    for x in configs:
         if judge(x) is None:
             raise DomainMismatchError(
                 "configuration %r is not over domain %r within its frames" % (x, sorted(frames))
             )
-    return support
+    return frozenset(configs)
 
 
 def _domain(variables):

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import settings
 
-from valnet import parse_problem
+from valnet import DomainMismatchError, parse_problem
 
 # A longer run of the hypothesis properties: pytest --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=5000)
@@ -35,6 +35,24 @@ bpa pc on {C | B} {
   b2 : {c1} = 1
 }
 """
+
+
+# The references' own configuration operations, written on the
+# (name, value) pairs directly rather than through valnet.model.
+def project_config(x, h):
+    """Drop the coordinates of x outside h.  Requires h to be a subset of x's domain."""
+    h = frozenset(h)
+    if not h <= {name for name, _ in x}:
+        raise DomainMismatchError("cannot project %r to %r" % (x, sorted(h)))
+    return tuple(pair for pair in x if pair[0] in h)
+
+
+def concat_configs(x, y):
+    """Join two configurations over disjoint domains into one."""
+    if {name for name, _ in x} & {name for name, _ in y}:
+        raise DomainMismatchError("domains overlap: %r and %r" % (x, y))
+    return tuple(sorted(x + y))
+
 
 # Verdict lines recorded by the acceptance suite, printed after the run.
 ACCEPTANCE_LINES = []

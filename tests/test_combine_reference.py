@@ -35,10 +35,11 @@ from valnet.calculus import (
     _nonbelief_kind,
     combine_all_traced,
 )
-from valnet.model import all_configs, concat_configs, project_config
+from valnet.model import all_configs
 from valnet.solver import fuse
 from valnet.valuation import BELIEF, GENERAL, Valuation, canonical_focals
 
+from conftest import concat_configs, project_config
 from netgen import random_network
 
 X = random_var("X", ("a", "b", "c"))

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from valnet import SolverError, combine_all, decision, elimination_order, marginalize, random_var
 from valnet.calculus import SolutionTable, marginalize_belief
-from valnet.model import make_config, project_config
+from valnet.model import make_config
 from valnet.solver import fuse
 from valnet.valuation import BELIEF, GENERAL, UTILITY
 
+from conftest import project_config
 from netgen import random_network
 from test_combine_reference import check
 

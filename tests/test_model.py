@@ -9,10 +9,8 @@ from valnet import (
     DomainMismatchError,
     NetworkError,
     Variable,
-    concat_configs,
     decision,
     make_config,
-    project_config,
     random_var,
 )
 from valnet.model import (
@@ -21,9 +19,12 @@ from valnet.model import (
     config_judge,
     config_mapping,
     iter_configs,
+    listed_configs,
     value_reader,
     values_reader,
 )
+
+from conftest import concat_configs, project_config
 
 FRAMES = {
     "T": ("t", "~t"),
@@ -215,3 +216,10 @@ def test_iter_configs_matches_zipping_names_with_the_frame_product(names):
     ]
     assert list(iter_configs(names, FRAMES)) == expected
     assert all_configs(reversed(names), FRAMES) == expected
+
+
+@given(st.lists(st.sampled_from(sorted(FRAMES)), unique=True))
+def test_listed_configs_judge_every_listing_of_the_frame_product(names):
+    judge = config_judge(names, FRAMES)
+    listed = listed_configs(names, FRAMES)
+    assert listed == {v: judge(v, listed=True) for v in itertools.product(*(FRAMES[n] for n in names))}

@@ -182,9 +182,7 @@ def _fail_past(monkeypatch, limit):
             assert n < limit, "enumerated more configurations than the statement has rows"
             yield combo
 
-    fake = types.SimpleNamespace(product=product)
-    monkeypatch.setattr(problemfile, "itertools", fake)
-    monkeypatch.setattr(model, "itertools", fake)
+    monkeypatch.setattr(model, "itertools", types.SimpleNamespace(product=product))
 
 
 def _variables(kind, prefix, count):

@@ -1,6 +1,10 @@
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valnet import (
     DIAMOND,
@@ -16,7 +20,6 @@ from valnet import (
     conditional,
     decision,
     elimination_order,
-    evaluate_strategy,
     expected_interval,
     fuse,
     is_conditional,
@@ -31,9 +34,11 @@ from valnet import (
     solve,
     validate,
 )
-from valnet import solver
+from valnet import model, solver
 from valnet.calculus import combine_all, marginalize_belief
+from valnet.valuation import BELIEF
 
+from conftest import CHAIN
 from netgen import (
     decision_chain,
     exhaustive_max,
@@ -99,6 +104,19 @@ class TestWildcatter:
         with pytest.raises(DomainMismatchError, match=r"needs 'R' in .*got \['gr'\]"):
             solve(wildcatter.network, 0.5).strategy.decide("D", {"R": ["gr"]})
 
+    def test_decide_is_one_lookup(self, wildcatter, monkeypatch):
+        # Deciding once read every key to rebuild its frames and a judge.
+        strategy = solve(wildcatter.network, 0.5).strategy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decide judged or read a configuration")
+
+        for module, name in [(model, "config_judge"), (model, "values_reader"), (solver, "values_reader")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert strategy.decide("T", {}) == "t"
+        assert strategy.decide("D", {"R": "gr"}) == "d"
+        assert strategy.decide("D", {"R": "ye", "O": "dr"}) == "~d"
+
     def test_oracle_agrees(self, wildcatter):
         for lam in (0.0, 0.3, 0.5, 1.0):
             fused = solve(wildcatter.network, lam)
@@ -122,9 +140,8 @@ class TestWildcatter:
 
     def test_replay_matches(self, wildcatter):
         result = solve(wildcatter.network, 0.5)
-        assert evaluate_strategy(wildcatter.network, 0.5, result) == pytest.approx(
-            result.expected_value
-        )
+        replay = solve(wildcatter.network, 0.5, policy_tables=result.solutions)
+        assert replay.expected_value == pytest.approx(result.expected_value)
 
 
 class TestStrategy:
@@ -202,9 +219,8 @@ class TestAgainstOracle:
         for _ in range(25):
             net = random_network(rng)
             result = solve(net, 0.6)
-            assert evaluate_strategy(net, 0.6, result) == pytest.approx(
-                result.expected_value, rel=1e-9, abs=1e-9
-            )
+            replay = solve(net, 0.6, policy_tables=result.solutions)
+            assert replay.expected_value == pytest.approx(result.expected_value, rel=1e-9, abs=1e-9)
 
     def test_decision_only_networks_reduce_to_maximization(self):
         rng = random.Random(107)
@@ -334,6 +350,48 @@ class TestPropagation:
     def test_rejects_decision_networks(self, wildcatter):
         with pytest.raises(ValnetError):
             propagate_marginal(wildcatter.network, "O")
+
+
+def fusion_steps(run):
+    """Every fusion step that ``run()`` makes, through ``solve`` or ``propagate_marginal``."""
+    steps, eliminate = [], solver._eliminate
+
+    def recording(*args, **kwargs):
+        pool, made = eliminate(*args, **kwargs)
+        steps.extend(made)
+        return pool, made
+
+    with mock.patch.object(solver, "_eliminate", recording):
+        run()
+    return steps
+
+
+def assert_conflict_free(steps):
+    """Every choice of one focal per belief input of a step has a nonempty joint.
+
+    Validation makes the potentials a DAG, so on a valid network no fusion
+    step meets Dempster conflict: its provenance names every such choice.
+    """
+    for step in steps:
+        at = [i for i, v in enumerate(step.inputs) if v.kind == BELIEF]
+        sources = {tuple(src[i] for i in at) for srcs in step.provenance for src in srcs}
+        assert len(sources) == math.prod(len(step.inputs[i].focals) for i in at), step.variable
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_no_fusion_step_meets_conflict(seed):
+    rng = random.Random(seed)
+    net, chain = random_network(rng), random_propagation(rng)
+    assert_conflict_free(fusion_steps(lambda: solve(net, 0.5)))
+    assert_conflict_free(fusion_steps(lambda: [propagate_marginal(chain, v.name) for v in chain.variables]))
+
+
+def test_no_fusion_step_of_the_problem_files_meets_conflict(wildcatter):
+    chain = parse_problem(CHAIN).network
+    steps = fusion_steps(lambda: (solve(wildcatter.network, 0.5), propagate_marginal(chain, "C")))
+    assert len([s for s in steps if any(v.kind == BELIEF for v in s.inputs)]) == 4
+    assert_conflict_free(steps)
 
 
 class TestGuards:

@@ -24,14 +24,14 @@ from valnet import (
     make_bpa,
     make_config,
     make_utility,
-    project_config,
     random_var,
     vacuous,
 )
-from valnet import all_configs, concat_configs, valuation
+from valnet import all_configs, valuation
 from valnet.calculus import marginalize_belief
 from valnet.valuation import BELIEF, Focal, canonical_focals, is_vacuous
 
+from conftest import concat_configs, project_config
 from netgen import random_subsets
 
 T = decision("T", ("t", "~t"))
@@ -70,6 +70,7 @@ OFF_DOMAIN = {
     "other": focal(R="re"),
     "wider": focal(T="t", R="re"),
     "outside-frame": focal_set({"T": "t"}, {"T": "zz"}),
+    "unhashable": [(("T", ["t"]),)],  # a list: no frozenset can hold it
 }
 
 
