@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError, _refuse_past
-from .model import DIAMOND, RANDOM, Variable, _projector, value_reader
+from .model import DIAMOND, RANDOM, Variable, extender, projector, value_reader
 from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, _fold, canonical_focals
 
 CONFLICT_TOL = 1e-12
@@ -71,23 +71,20 @@ def _joint_supports(parts, domains):
     ``parts[i]`` maps index tuples to member sets over ``domains[i]``.  The
     first part's sets are the first level; each further part is hash-joined
     in: a combination's configurations are grouped by their shared key once,
-    each group meets the part's members with that key, and a fixed
-    permutation puts the merged pairs into name order.  A level whose exact
-    size, known from the groups, passes ``JOIN_LIMIT`` raises ``SolverError``
-    before it is built.  Returns {concatenated index tuple: configurations
-    over the sorted union}, in product order; no parts give the diamond.
+    each group meets the part's members with that key, and the model's
+    extender joins each pair.  A level whose exact size, known from the
+    groups, passes ``JOIN_LIMIT`` raises ``SolverError`` before it is built.
+    Returns {concatenated index tuple: configurations over the union}, in
+    product order; no parts give the diamond.
     """
     if not parts:
         return {(): [DIAMOND]}
-    names, level = tuple(sorted(domains[0])), parts[0]
-    for part, domain in zip(parts[1:], domains[1:]):
-        inner = tuple(sorted(domain))
-        new = tuple(n for n in inner if n not in names)
-        key, inner_key = _projector(names, inner), _projector(inner, names)
-        extra = _projector(inner, new)
-        merged = names + new
-        names = tuple(sorted(merged))
-        order = _projector(merged, names) if merged != names else None
+    domain, level = domains[0], parts[0]
+    for part, inner in zip(parts[1:], domains[1:]):
+        new = inner - domain
+        key, inner_key, extra = projector(domain, inner), projector(inner, domain), projector(inner, new)
+        extend = extender(domain, new)
+        domain = domain | inner
         indexes = {k: {} for k in part}
         for k, members in part.items():
             for y in members:
@@ -103,10 +100,7 @@ def _joint_supports(parts, domains):
                     matches.append((combo + k, pairs))
                     size += sum(len(zs) * len(es) for zs, es in pairs)
         _refuse_past(JOIN_LIMIT, size, "combining would build {0} joint configurations")
-        level = {}
-        for combo, pairs in matches:
-            out = [z + e for zs, es in pairs for z in zs for e in es]
-            level[combo] = list(map(order, out)) if order else out
+        level = {combo: [extend(z, e) for zs, es in pairs for z in zs for e in es] for combo, pairs in matches}
     return level
 
 
@@ -127,15 +121,15 @@ def combine_all_traced(valuations):
     Joint supports are hash joins on the shared variables.  The joint of each
     combination of belief focals is built once: the empty ones make up the
     conflict, by which the belief part is renormalized, and the non-belief
-    focals are joined with the others.  Non-beliefs are combined before beliefs.
-    Each distinct joint support is one frozenset.  Each combination gives one
-    values dict over its joint (one mass in a belief-only pool, since every
-    member carries the same mass); only a joint that several combinations
-    reach sums them, per configuration, by an exact fsum.  A pool without
-    beliefs joins only its non-belief parts.  Each belief focal's mass is
-    read once, into one list per input.  More
-    than ``COMBINE_LIMIT`` focal combinations raise ``SolverError`` before any
-    join.
+    focals are joined with the others.  That normalization matters only to
+    direct library callers: on a valid network no fusion step of ``solve``
+    or ``propagate_marginal`` meets conflict.  Each distinct joint support is
+    one frozenset.  Each combination gives one values dict over its joint
+    (one mass in a belief-only pool, since every member carries the same
+    mass); only a joint that several combinations reach sums them, per
+    configuration, by an exact fsum.  Non-beliefs are combined before
+    beliefs, and each belief focal's mass is read once.  More than
+    ``COMBINE_LIMIT`` focal combinations raise ``SolverError`` before any join.
 
     Returns (valuation, provenance) where provenance is a list parallel to the
     result focals; each entry lists tuples of focal indices, one per input
@@ -177,8 +171,7 @@ def combine_all_traced(valuations):
             parts.append(belief_joints)
             domains.append(frozenset().union(*(v.domain for v in beliefs)))
         joints = _joint_supports(parts, domains)
-    names = tuple(sorted(union))
-    projectors = [_projector(names, v.domain) for v in others]
+    projectors = [projector(union, v.domain) for v in others]
     accum, provenance = {}, {}
     for combo, members in joints.items():
         mass = math.prod(map(list.__getitem__, masses, combo[n_others:])) / norm
@@ -268,8 +261,7 @@ def marginalize(v, variable, lam=None, policy=None):
     # key and its support.  A belief focal brings only its mass, read once
     # here; any other is split by projection: at a decision into {act: value},
     # since x and an act fix the configuration, else into a list of values.
-    domain = tuple(sorted(v.domain))
-    project, act = _projector(domain, rest), value_reader(domain, name)
+    project, act = projector(v.domain, rest), value_reader(v.domain, name)
     groups = {}
     for f in v.focals:
         slices = dict.fromkeys(map(project, f.support)) if belief else {}
@@ -285,7 +277,7 @@ def marginalize(v, variable, lam=None, policy=None):
     scores = {}
     focals = []
     forcing = is_dec and policy is not None
-    context = _projector(tuple(sorted(rest)), tuple(policy.context)) if forcing else None
+    context = projector(rest, tuple(policy.context)) if forcing else None
     # The groups are distinct supports: sorting them and dropping zero-mass
     # belief focals is all that canonical_focals would add.
     for support in _focal_order(groups):

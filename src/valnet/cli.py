@@ -9,7 +9,7 @@ import sys
 
 from .calculus import check_lambda, marginalize
 from .errors import ProblemFormatError, ValnetError
-from .model import DIAMOND, _projector, values_reader
+from .model import DIAMOND, projector, values_reader
 from .network import validate
 from .problemfile import parse_problem
 from .solver import lambda_sweep, propagate_marginal, solve
@@ -195,9 +195,8 @@ def _step_lines(network, index, step, lam):
     if step.solution is not None:
         header.append("Psi[%s]" % step.variable)
     rows = []
-    names = tuple(sorted(step.combined.domain))
-    to_rest = _projector(names, step.result.domain)
-    to_inputs = [_projector(names, v.domain) for v in step.inputs]
+    to_rest = projector(step.combined.domain, step.result.domain)
+    to_inputs = [projector(step.combined.domain, v.domain) for v in step.inputs]
     variable = network.by_name[step.variable]
     fmt = _formatter(network, step.combined.domain)
     for j, focal in enumerate(step.combined.focals):
@@ -214,15 +213,11 @@ def _step_lines(network, index, step, lam):
             for v, i, project in zip(step.inputs, sources, to_inputs):
                 cells.append(_fmt(v.focals[i].values[project(z)]))
             cells.append(_fmt(focal.values[z]))
-            if x not in seen:
-                seen.add(x)
-                cells.append(_fmt(marginal[x]))
-                if step.solution is not None:
-                    cells.append(step.solution.choices[x])
-            else:
-                cells.append("")
-                if step.solution is not None:
-                    cells.append("")
+            first = x not in seen  # a projected configuration's columns fill once
+            seen.add(x)
+            cells.append(_fmt(marginal[x]) if first else "")
+            if step.solution is not None:
+                cells.append(step.solution.choices[x] if first else "")
             rows.append(cells)
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
     lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
@@ -279,14 +274,10 @@ def cmd_marginal(problem, args):
     fmt = _formatter(network, marginal.domain)
     if args.machine:
         lines = ["# record\tmass\tfocal"]
-        for f in marginal.focals:
-            members = "|".join([fmt(x) for x in sorted(f.support)])
-            lines.append("focal\t%r\t%s" % (f.mass, members))
+        lines += ["focal\t%r\t%s" % (f.mass, "|".join(map(fmt, sorted(f.support)))) for f in marginal.focals]
     else:
         lines = ["marginal bpa for %s" % args.target]
-        for f in marginal.focals:
-            members = ", ".join([fmt(x) for x in sorted(f.support)])
-            lines.append("%s  {%s}" % (_fmt(f.mass), members))
+        lines += ["%s  {%s}" % (_fmt(f.mass), ", ".join(map(fmt, sorted(f.support)))) for f in marginal.focals]
     _write(lines)
     return EXIT_OK
 

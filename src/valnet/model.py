@@ -7,12 +7,10 @@ variable set is the empty tuple, DIAMOND.  A set of configurations (a focal's
 support) is a plain frozenset of them; its domain is the valuation's.
 
 Other modules build, read, project and extend configurations through the
-functions below, most of which make a function once per list of variables;
+functions below, most of which make a function once per domain;
 ``config_judge`` judges every configuration that enters the program from
 outside, and ``listed_configs`` is the one map from listed values to
-configurations.  The layout shows outside this module only where calculus,
-valuation, cli and solver hand ``_projector`` a configuration's names as
-``tuple(sorted(domain))``.
+configurations.
 """
 
 from __future__ import annotations
@@ -69,20 +67,43 @@ def make_config(values):
     return tuple(sorted(values.items()))
 
 
-@lru_cache(maxsize=4096)
-def _projector(names, domain):
-    """Function from a tuple over ``names`` to its items over ``domain`` in name order.
-
-    The program's one positional projection, cached per (names, domain).  All
-    of its items in their order is the identity: a full slice hands back the
-    tuple itself, not a copy.
-    """
-    positions = [names.index(n) for n in sorted(domain) if n in names]
-    if positions == list(range(len(names))):
-        return operator.itemgetter(slice(None))
+def _items(positions):
+    """Function from a tuple to the tuple of its items at ``positions``, in that order."""
     if len(positions) == 1:  # itemgetter would give the bare item
         return operator.itemgetter(slice(positions[0], positions[0] + 1))
     return operator.itemgetter(*positions) if positions else lambda x: DIAMOND
+
+
+def _projector(names, onto):
+    """Function from a tuple over ``names`` to its items over the names of ``onto``, in name order.
+
+    All of its items in their order is the identity: a full slice hands back
+    the tuple itself, not a copy.
+    """
+    positions = [names.index(n) for n in sorted(onto) if n in names]
+    return operator.itemgetter(slice(None)) if positions == list(range(len(names))) else _items(positions)
+
+
+@lru_cache(maxsize=4096)
+def projector(domain, onto):
+    """Function from a configuration over ``domain`` to its projection onto the names of ``onto`` it holds."""
+    return _projector(tuple(sorted(domain)), onto)
+
+
+@lru_cache(maxsize=4096)
+def extender(domain, extra, onto=None):
+    """Function joining a configuration over ``domain`` and one over ``extra``, a disjoint domain.
+
+    The joint configuration is over the union, or projected onto the names of
+    ``onto`` if given.  The plan is made once per (domain, extra, onto): the
+    concatenation where ``extra``'s names all sort last, else one fixed
+    permutation of it.
+    """
+    names, added = tuple(sorted(domain)), tuple(sorted(extra))
+    if onto is None and (not names or not added or added[0] > names[-1]):
+        return operator.add
+    project = _projector(names + added, names + added if onto is None else onto)
+    return lambda x, y: project(x + y)
 
 
 _value = operator.itemgetter(1)
@@ -121,8 +142,8 @@ def config_judge(names, frames):
 @lru_cache(maxsize=4096)
 def values_reader(domain, names):
     """Function from a configuration over ``domain`` to its values of ``names``, in that order."""
-    at = [sorted(domain).index(n) for n in names]
-    return lambda x: tuple([x[i][1] for i in at])
+    pairs = _items([sorted(domain).index(n) for n in names])
+    return lambda x: tuple(map(_value, pairs(x)))
 
 
 @lru_cache(maxsize=4096)
@@ -135,15 +156,6 @@ def value_reader(domain, name):
 def config_mapping(x):
     """The {variable: value} mapping of configuration x, as ``make_config`` takes it."""
     return dict(x)
-
-
-@lru_cache(maxsize=4096)
-def config_extender(names, extra, domain):
-    """Function from a configuration over ``names`` and values listed for the
-    names ``extra`` to the joint configuration's items over ``domain``."""
-    joined = tuple(sorted(names)) + extra
-    project = _projector(joined, domain)
-    return lambda x, values: project(x + tuple(zip(extra, values)))
 
 
 def iter_configs(names, frames):

@@ -28,7 +28,7 @@ from .calculus import check_lambda
 from .errors import ProblemFormatError, SolverError, ValnetError
 from .model import Variable, config_judge, listed_configs, values_reader
 from .network import Network
-from .valuation import conditional, make_utility
+from .valuation import _domain, conditional, make_utility
 
 _NAME = r"[A-Za-z_]\w*"
 _TOKEN = r"[^\s{},;:=|#]+"
@@ -184,6 +184,7 @@ def _parse_utility(b, stmt, lineno):
     b.claim_label(label, lineno)
     names = _split_list(var_body)
     variables = [b.need_var(n, lineno) for n in names]
+    _domain(variables)  # a repeated variable is refused before any row is read
     entries = _entries(body)
     read = _row_reader(b, variables, len(entries), lineno, "utility entry %r needs one value per variable of %r")
     table = {}

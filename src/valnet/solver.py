@@ -20,7 +20,7 @@ from .calculus import (
     marginalize_belief,  # not called here; the benchmark's tracer wraps this name
 )
 from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError, _refuse_past
-from .model import DIAMOND, DECISION, _projector, all_configs, config_extender, make_config, value_reader, values_reader
+from .model import DIAMOND, DECISION, all_configs, extender, make_config, projector, value_reader, values_reader
 from .network import elimination_order, validate
 
 # Most configurations of the joint frame that ``oracle_solve`` combines over.
@@ -175,13 +175,13 @@ def build_strategy(network, solutions, order):
         plans[name] = (table, names, earlier)
     for name, (table, names, earlier) in plans.items():
         # A configuration over ``names``, extended by the earlier decisions'
-        # acts, projects onto each key by fixed positions.
-        ordered = tuple(sorted(names))
-        inner = [(_projector(ordered, tables[n][0]), tables[n][1]) for n in earlier]
-        extend = config_extender(names, tuple(earlier), tuple(table.context))
+        # acts, projects onto the table's context.
+        inner = [(n, projector(names, tables[n][0]), tables[n][1]) for n in earlier]
+        extend = extender(names, tuple(earlier), tuple(table.context))
         mapping = {}
         for cfg in all_configs(names, network.frames):
-            mapping[cfg] = table.choices.get(extend(cfg, [acts[key(cfg)] for key, acts in inner]))
+            chosen = make_config({n: acts[key(cfg)] for n, key, acts in inner})
+            mapping[cfg] = table.choices.get(extend(cfg, chosen))
         tables[name] = (names, mapping)
     return Strategy(tables)
 

@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import chain
 
 from .errors import DomainMismatchError, KindError, MassError, NetworkError, UtilityError, _refuse_past
-from .model import DIAMOND, Variable, _projector, all_configs, config_extender, config_judge, config_mapping, iter_configs
+from .model import DIAMOND, Variable, all_configs, config_judge, config_mapping, extender, iter_configs, projector
 
 BELIEF = "belief"
 UTILITY = "utility"
@@ -252,7 +252,7 @@ def is_conditional(v, head_name):
         raise DomainMismatchError("%r is not in the valuation's domain" % head_name)
     rest = v.domain - {head_name}
     size = math.prod(len(v.frames[n]) for n in rest)
-    project = _projector(tuple(sorted(v.domain)), rest)
+    project = projector(v.domain, rest)
     return all(len(set(map(project, f.support))) == size for f in v.focals)
 
 
@@ -262,9 +262,9 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
     ``tables`` maps parent configurations (or tuples of parent values) to
     (head-value subset, mass) pairs.  Each focal of the joint bpa ``ballooned``
     picks one focal per parent configuration: its support is the union of the
-    picked slices, its mass their product.  Each entry's slice is built once:
-    a cell per value of its subset, the parent configuration extended by the
-    head's value.  More than ``BALLOON_LIMIT`` picks raise ``SolverError`` before any pick.
+    picked slices, its mass their product.  Each cell, a parent configuration
+    extended by a head value, is built once, and an entry's slice is its
+    subset's cells.  More than ``BALLOON_LIMIT`` picks raise ``SolverError`` before any pick.
     """
 
     __slots__ = ()
@@ -304,11 +304,12 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
         _refuse_past(
             BALLOON_LIMIT, combinations, "ballooning {1!r} would enumerate {0} focal combinations", head.name
         )
-        extend = config_extender(tuple(names), (head.name,), tuple(sorted(frames)))
-        per_parent = [
-            [(tuple(extend(c, (r,)) for r in subset), m) for subset, m in normalized[c]]
-            for c in parent_configs
-        ]
+        extend = extender(parent_names, (head.name,))
+        heads = dict(zip(head.frame, iter_configs((head.name,), frames)))
+        per_parent = []
+        for c in parent_configs:
+            cells = {r: extend(c, y) for r, y in heads.items()}
+            per_parent.append([(tuple(map(cells.__getitem__, subset)), m) for subset, m in normalized[c]])
         items = []
         for choice in itertools.product(*per_parent):
             slices, masses = zip(*choice)

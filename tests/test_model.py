@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from valnet import (
@@ -15,11 +15,12 @@ from valnet import (
 )
 from valnet.model import (
     all_configs,
-    config_extender,
     config_judge,
     config_mapping,
+    extender,
     iter_configs,
     listed_configs,
+    projector,
     value_reader,
     values_reader,
 )
@@ -185,11 +186,52 @@ def test_readers_take_values_in_the_order_asked():
     assert make_config(config_mapping(x)) == x
 
 
-def test_extender_joins_listed_values_and_projects():
-    x = cfg(T="t", R="re")
-    assert config_extender(("T", "R"), ("D",), ("D", "R", "T"))(x, ["d"]) == cfg(T="t", R="re", D="d")
-    assert config_extender(("T", "R"), ("O", "D"), ("D", "T"))(x, ["dr", "d"]) == cfg(T="t", D="d")
-    assert config_extender(("T", "R"), (), ())(x, []) == DIAMOND
+@st.composite
+def split_configs(draw):
+    """(domain, extra, onto, x, y): x over a domain, y over a disjoint extra domain, onto within their union.
+
+    Any name may sort before, between or after the domain's, ``onto`` may
+    be empty, and a value may be a tuple.
+    """
+    values = st.one_of(st.sampled_from(["a", "~a", "b"]), st.tuples(st.integers(0, 2), st.sampled_from("xy")))
+    joint = draw(st.dictionaries(st.sampled_from("ABCDEFG"), values))
+    domain = frozenset(n for n in sorted(joint) if draw(st.booleans()))
+    onto = frozenset(n for n in sorted(joint) if draw(st.booleans()))
+    pairs = sorted(joint.items())
+    x = tuple(pair for pair in pairs if pair[0] in domain)
+    y = tuple(pair for pair in pairs if pair[0] not in domain)
+    return domain, frozenset(joint) - domain, onto, x, y
+
+
+def _case(domain, onto, x, **extra):
+    y = cfg(**extra)
+    return frozenset(domain), frozenset(extra), frozenset(onto), x, y
+
+
+WILD = cfg(T="t", R="re")
+
+
+@given(split_configs(), st.randoms(use_true_random=False))
+# The extender once took listed values; these were its checks.
+@example(_case("TR", "DRT", WILD, D="d"), None)
+@example(_case("TR", "DT", WILD, O="dr", D="d"), None)
+@example(_case("TR", "", WILD), None)
+# One extra name before, between and after the others, and several of them.
+@example(_case("BC", "", cfg(B="b", C="c"), A=(0, "x")), None)
+@example(_case("AC", "ABC", cfg(A="a", C=(1, "y")), B="b"), None)
+@example(_case("AB", "C", cfg(A="a", B="b"), C="c"), None)
+@example(_case("BD", "ABE", cfg(B="b", D="d"), A="a", C="c", E="e"), None)
+def test_projection_and_extension_match_the_references(case, rng):
+    domain, extra, onto, x, y = case
+    joint = concat_configs(x, y)
+    assert projector(domain, onto)(x) == project_config(x, onto & domain)
+    assert projector(domain | extra, onto)(joint) == project_config(joint, onto)
+    assert extender(domain, extra)(x, y) == joint
+    assert extender(domain, extra, onto)(x, y) == project_config(joint, onto)
+    names = sorted(domain | extra)
+    if rng is not None:
+        rng.shuffle(names)
+    assert values_reader(domain | extra, tuple(names))(joint) == tuple(config_mapping(joint)[n] for n in names)
 
 
 @given(configs, st.randoms(use_true_random=False))

@@ -257,6 +257,21 @@ def test_the_library_judges_and_the_parser_adds_the_line(statement, build):
     assert str(parse_error(DECLARED + statement)) == "line 4: %s" % judged.value
 
 
+@pytest.mark.parametrize("statement, message", [
+    ("utility u on {D, D} { a a = 1; a b = 2; b a = 3; b b = 4 }", "a valuation names variable 'D' more than once"),
+    ("utility u on {D, D} { a b = 2; b a = 3 }", "a valuation names variable 'D' more than once"),
+    (
+        "bpa pr on {R | A, A} { a a : {x} = 1; a b : {x} = 1; b a : {x} = 1; b b : {x} = 1 }",
+        "bad parent list for bpa 'pr'",
+    ),
+    ("bpa pr on {R | A, A} { a b : {x} = 1 }", "bad parent list for bpa 'pr'"),
+], ids=["utility-full", "utility-short", "bpa-full", "bpa-short"])
+def test_a_repeated_variable_gets_one_message_whatever_the_rows(statement, message):
+    # A short utility table was once read row by row, so that a repeated
+    # variable surfaced as a duplicate row instead.
+    assert str(parse_error(DECLARED + statement)) == "line 4: " + message
+
+
 def test_comments_and_blank_lines_ignored():
     problem = parse_problem(
         """
