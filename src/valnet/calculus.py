@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError, _refuse_past
 from .model import DIAMOND, RANDOM, Variable, extender, projector, value_reader
-from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, _fold, canonical_focals
+from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, canonical_focals
 
 CONFLICT_TOL = 1e-12
 # Most combinations of one focal per input that ``combine_all_traced`` joins.
@@ -127,7 +127,8 @@ def combine_all_traced(valuations):
     one frozenset.  Each combination gives one values dict over its joint
     (one mass in a belief-only pool, since every member carries the same
     mass); only a joint that several combinations reach sums them, per
-    configuration, by an exact fsum.  Non-beliefs are combined before
+    configuration, by an exact fsum.  A belief-only pool's joints and masses
+    become focals through ``canonical_focals``.  Non-beliefs are combined before
     beliefs, and each belief focal's mass is read once.  More than
     ``COMBINE_LIMIT`` focal combinations raise ``SolverError`` before any join.
 
@@ -193,17 +194,16 @@ def combine_all_traced(valuations):
     if not accum:
         raise TotalConflictError("no joint focal has a nonempty support")
 
-    items = []
-    for joint, found in accum.items():
-        if not others:
-            values = dict.fromkeys(joint, found[0] if len(found) == 1 else _fsum(found))
-        elif len(found) > 1:
-            values = {z: _fsum([d[z] for d in found]) for z in found[0]}
-        else:
-            values = found[0]
-        items.append((joint, _finite(values, "combined value")))
-    focals = canonical_focals(items, GENERAL if others else BELIEF)
-    kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
+    if others:
+        merged = {}
+        for joint, found in accum.items():
+            values = found[0] if len(found) == 1 else {z: _fsum([d[z] for d in found]) for z in found[0]}
+            merged[joint] = _finite(values, "combined value")
+        focals = tuple(Focal(joint, merged[joint]) for joint in _focal_order(merged))
+        kind = _nonbelief_kind(union, frames, focals)
+    else:
+        items = [(joint, found[0] if len(found) == 1 else _fsum(found)) for joint, found in accum.items()]
+        focals, kind = canonical_focals(items, "combined value"), BELIEF
     prov = [provenance[f.support] for f in focals]
     return Valuation(union, frames, kind, focals), prov
 
@@ -236,14 +236,16 @@ def marginalize_belief(v, name):
 def marginalize(v, variable, lam=None, policy=None):
     """Remove one variable from a valuation in one pass over its focals.
 
-    Each focal is split once by the projection of its configurations, and
-    focals with equal projected supports add up into one result focal.  At a
-    projected configuration each source focal contributes its mass (belief
-    valuations), the maximum of its values there (decision variables; a
-    ``policy`` table picks the act instead, and a focal without that act raises
+    Each focal is split once by the projection of its configurations.  A
+    belief valuation's focals become (projected support, mass) items of
+    ``canonical_focals``, so masses of equal projected supports add.  Any
+    other valuation's focals with equal projected supports add up into one
+    result focal: at a projected configuration each source focal contributes
+    the maximum of its values there (decision variables; a ``policy`` table
+    picks the act instead, and a focal without that act raises
     ``SolverError``; otherwise the best acts and the per-act totals they are
-    chosen by are recorded in a solution table) or the lambda-weighted blend of
-    that maximum and minimum (random variables).
+    chosen by are recorded in a solution table) or the lambda-weighted blend
+    of that maximum and minimum (random variables).
 
     Returns (valuation, solution table or None).
     """
@@ -251,41 +253,37 @@ def marginalize(v, variable, lam=None, policy=None):
     if name not in v.domain:
         raise DomainMismatchError("%r is not in the valuation's domain" % name)
     rest = v.domain - {name}
-    belief = v.kind == BELIEF
-    is_dec = variable.is_decision and not belief
-    if not belief and not is_dec:
-        lam = check_lambda(lam)
     frames = {n: f for n, f in v.frames.items() if n in rest}
+    project = projector(v.domain, rest)
+    if v.kind == BELIEF:
+        # keys(): frozenset(dict) presizes, so the set would iterate in another order.
+        items = [(frozenset(dict.fromkeys(map(project, f.support)).keys()), f.mass) for f in v.focals]
+        return Valuation(rest, frames, BELIEF, canonical_focals(items, "marginal value")), None
+    is_dec = variable.is_decision
+    if not is_dec:
+        lam = check_lambda(lam)
 
     # Group focals by projected support; the first focal's set is the group's
-    # key and its support.  A belief focal brings only its mass, read once
-    # here; any other is split by projection: at a decision into {act: value},
-    # since x and an act fix the configuration, else into a list of values.
-    project, act = projector(v.domain, rest), value_reader(v.domain, name)
+    # key and its support.  A focal is split by projection: at a decision
+    # into {act: value}, since x and an act fix the configuration, else into
+    # a list of values.
+    act = value_reader(v.domain, name)
     groups = {}
     for f in v.focals:
-        slices = dict.fromkeys(map(project, f.support)) if belief else {}
+        slices = {}
         if is_dec:
             for y, val in f.values.items():
                 slices.setdefault(project(y), {})[act(y)] = val
-        elif not belief:
+        else:
             for y, val in f.values.items():
                 slices.setdefault(project(y), []).append(val)
-        # keys(): frozenset(dict) presizes, so the set would iterate in another order.
-        groups.setdefault(frozenset(slices.keys()), []).append(f.mass if belief else slices)
+        groups.setdefault(frozenset(slices.keys()), []).append(slices)
 
     scores = {}
     focals = []
     forcing = is_dec and policy is not None
     context = projector(rest, tuple(policy.context)) if forcing else None
-    # The groups are distinct supports: sorting them and dropping zero-mass
-    # belief focals is all that canonical_focals would add.
     for support in _focal_order(groups):
-        if belief:
-            values = dict.fromkeys(support, _fold(groups[support]))
-            if any(values.values()):
-                focals.append(Focal(support, _finite(values, "marginal value")))
-            continue
         values = {}
         for x in support:
             total = 0.0
@@ -319,8 +317,7 @@ def marginalize(v, variable, lam=None, policy=None):
             values[x] = total
         focals.append(Focal(support, _finite(values, "marginal value")))
 
-    kind = BELIEF if belief else _nonbelief_kind(rest, frames, focals)
-    result = Valuation(rest, frames, kind, tuple(focals))
+    result = Valuation(rest, frames, _nonbelief_kind(rest, frames, focals), tuple(focals))
 
     table = None
     if is_dec and policy is None:

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .errors import NetworkError
 from .model import DECISION, RANDOM
-from .valuation import UTILITY, is_conditional
+from .valuation import UTILITY, frames_of, is_conditional
 
 
 class Finding(namedtuple("Finding", "condition message")):
@@ -66,11 +66,12 @@ class Network:
         for p in self.potentials:
             if p.head.name not in declared or self.by_name[p.head.name] != p.head:
                 raise NetworkError("potential head %r is not a declared variable" % p.head.name)
-        pairs = [("utility", u) for u in self.utilities] + [("potential", p.ballooned) for p in self.potentials]
-        for what, v in pairs:
-            if not v.domain <= declared:
-                raise NetworkError("%s over undeclared variables %r" % (what, sorted(v.domain - declared)))
-            wrong = sorted(n for n in v.domain if v.frames[n] != self.frames[n])
+        pairs = [("utility", u.domain, u.frames) for u in self.utilities]
+        pairs += [("potential", p.domain, frames_of(p.parents + (p.head,))) for p in self.potentials]
+        for what, domain, frames in pairs:
+            if not domain <= declared:
+                raise NetworkError("%s over undeclared variables %r" % (what, sorted(domain - declared)))
+            wrong = sorted(n for n in domain if frames[n] != self.frames[n])
             if wrong:
                 raise NetworkError("%s frame for %r differs from its declaration" % (what, wrong[0]))
 

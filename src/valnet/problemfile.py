@@ -75,8 +75,8 @@ def _statements(text):
     return out
 
 
-def _split_list(body):
-    return [t for t in map(str.strip, body.split(",")) if t]
+def _split(body, sep):
+    return [t for t in map(str.strip, body.split(sep)) if t]
 
 
 def _parse_number(token, lineno, what="number"):
@@ -155,7 +155,7 @@ def _parse_variable(b, kind, stmt, lineno):
     m = _VARIABLE.fullmatch(stmt)
     if not m:
         raise ProblemFormatError("malformed %s declaration" % kind, lineno)
-    name, frame = m.group(1), _split_list(m.group(2))
+    name, frame = m.group(1), _split(m.group(2), ",")
     for label in frame:
         if not _LABEL.fullmatch(label):
             raise ProblemFormatError(
@@ -182,10 +182,10 @@ def _parse_utility(b, stmt, lineno):
         raise ProblemFormatError("malformed utility statement", lineno)
     label, var_body, body = m.groups()
     b.claim_label(label, lineno)
-    names = _split_list(var_body)
+    names = _split(var_body, ",")
     variables = [b.need_var(n, lineno) for n in names]
     _domain(variables)  # a repeated variable is refused before any row is read
-    entries = _entries(body)
+    entries = _split(body, ";")
     read = _row_reader(b, variables, len(entries), lineno, "utility entry %r needs one value per variable of %r")
     table = {}
     for entry in entries:
@@ -236,9 +236,9 @@ def _parse_bpa(b, stmt, lineno):
     label, head_name, parent_body, body = m.groups()
     b.claim_label(label, lineno)
     head = b.need_var(head_name, lineno)
-    parent_names = _split_list(parent_body or "")
+    parent_names = _split(parent_body or "", ",")
     parents = [b.need_var(n, lineno) for n in parent_names]
-    entries = _entries(body)
+    entries = _split(body, ";")
     read = _row_reader(b, parents, len(entries), lineno, "bpa entry %r needs one value per parent of %r")
     head_frame = frozenset(head.frame)
     tables = {}
@@ -247,7 +247,7 @@ def _parse_bpa(b, stmt, lineno):
         if not m2:
             raise ProblemFormatError("malformed bpa entry %r" % entry, lineno)
         cfg = read(tuple((m2.group(1) or "").split()), entry)
-        tokens = _split_list(m2.group(2))
+        tokens = _split(m2.group(2), ",")
         subset = frozenset(tokens)
         if not subset <= head_frame:  # name the first bad token
             for t in tokens:
@@ -264,10 +264,6 @@ def _parse_lambda(b, stmt, lineno):
     if b.lam is not None:
         raise ProblemFormatError("duplicate lambda declaration", lineno)
     b.lam = check_lambda(_parse_number(m.group(1), lineno, "lambda"))
-
-
-def _entries(body):
-    return [e for e in map(str.strip, body.split(";")) if e]
 
 
 def serialize(network, lam=None):

@@ -123,6 +123,12 @@ def _finish(pool):
     return final.value_at(DIAMOND)
 
 
+def _refuse_without_utilities(network):
+    """Refuse, before any work, a network whose expected value would be a belief's mass."""
+    if not network.utilities:
+        raise ValnetError("solving needs a network with utilities; use valnet marginal for one without")
+
+
 def _check(network):
     report = validate(network)
     if not report.ok:
@@ -140,6 +146,7 @@ def _eliminate(pool, variables, lam=None, policies=None):
 
 def solve(network, lam, policy_tables=None):
     """Run the fusion algorithm; returns expected value, tables, strategy and steps."""
+    _refuse_without_utilities(network)
     lam = check_lambda(lam)
     _check(network)
     order = elimination_order(network)
@@ -195,6 +202,7 @@ def oracle_solve(network, lam):
     combination is also held to ``calculus.JOIN_LIMIT`` (10^5 configurations
     per join level), the tighter cap on most networks.
     """
+    _refuse_without_utilities(network)
     lam = check_lambda(lam)
     _check(network)
     size = math.prod(len(v.frame) for v in network.variables)

@@ -16,7 +16,7 @@ from collections import namedtuple
 from functools import reduce
 from itertools import chain
 
-from .errors import DomainMismatchError, KindError, MassError, NetworkError, UtilityError, _refuse_past
+from .errors import DomainMismatchError, KindError, MassError, NetworkError, SolverError, UtilityError, _refuse_past
 from .model import DIAMOND, Variable, all_configs, config_judge, config_mapping, extender, iter_configs, projector
 
 BELIEF = "belief"
@@ -92,27 +92,27 @@ def _focal_order(supports):
     return sorted(supports, key=sorted) if len(supports) > 1 else list(supports)
 
 
-def canonical_focals(items, kind):
-    """Merge focals with equal supports by pointwise summation and sort them.
+def canonical_focals(items, what):
+    """The belief focals of (support, mass) items, the one builder of belief focals.
 
-    A merged focal keeps the first item's support.  A focal adopts its item's
-    values dict; a merge sums into a copy, so no given dict is changed.
-    Belief-kind zero-mass focals are dropped.
+    Zero masses are skipped, and the others of equal supports add by a left
+    fold in item order, as ``_fold`` adds; a merged focal keeps the first
+    such item's support.  The focals come in focal order, without those whose
+    masses add to zero; a non-finite mass raises ``SolverError`` naming
+    ``what`` and the smallest configuration of its support.  A focal's values
+    are its mass at every member of its support.
     """
     merged = {}
-    for support, values in items:
-        if support in merged:
-            old = merged[support] = dict(merged[support])
-            for x, v in values.items():
-                old[x] = old.get(x, 0.0) + v
-        else:
-            merged[support] = values
+    for support, mass in items:
+        if mass:
+            merged[support] = merged.get(support, 0.0) + mass
     focals = []
     for support in _focal_order(merged):
-        values = merged[support]
-        if kind == BELIEF and not any(values.values()):
-            continue
-        focals.append(Focal(support, values))
+        mass = merged[support]
+        if not math.isfinite(mass):
+            raise SolverError("%s is not finite at %r" % (what, min(support)))
+        if mass:
+            focals.append(Focal(support, dict.fromkeys(support, mass)))
     return tuple(focals)
 
 
@@ -174,12 +174,7 @@ def make_bpa(variables, assignments, label=""):
     frames = frames_of(variables)
     assignments = [(_support_over(configs, frames), mass) for configs, mass in assignments]
     _check_bpa_masses(assignments, label)
-    items = [
-        (support, {x: float(mass) for x in support})
-        for support, mass in assignments
-        if mass > 0
-    ]
-    focals = canonical_focals(items, BELIEF)
+    focals = canonical_focals([(support, float(mass)) for support, mass in assignments], "mass")
     return Valuation(domain, frames, BELIEF, focals, label)
 
 
@@ -221,7 +216,7 @@ def vacuous(variables, label=""):
     domain = _domain(variables)
     frames = frames_of(variables)
     support = frozenset(iter_configs(domain, frames))
-    return Valuation(domain, frames, BELIEF, (Focal(support, {x: 1.0 for x in support}),), label)
+    return Valuation(domain, frames, BELIEF, canonical_focals([(support, 1.0)], "mass"), label)
 
 
 def belief_of(v, a):
@@ -262,7 +257,8 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
     ``tables`` maps parent configurations (or tuples of parent values) to
     (head-value subset, mass) pairs.  Each focal of the joint bpa ``ballooned``
     picks one focal per parent configuration: its support is the union of the
-    picked slices, its mass their product.  Each cell, a parent configuration
+    picked slices, its mass their product, and ``canonical_focals`` merges
+    and orders the picks.  Each cell, a parent configuration
     extended by a head value, is built once, and an entry's slice is its
     subset's cells.  More than ``BALLOON_LIMIT`` picks raise ``SolverError`` before any pick.
     """
@@ -310,15 +306,8 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
         for c in parent_configs:
             cells = {r: extend(c, y) for r, y in heads.items()}
             per_parent.append([(tuple(map(cells.__getitem__, subset)), m) for subset, m in normalized[c]])
-        items = []
-        for choice in itertools.product(*per_parent):
-            slices, masses = zip(*choice)
-            mass = math.prod(masses)
-            if mass <= 0:
-                continue
-            support = frozenset(chain(*slices))
-            items.append((support, dict.fromkeys(support, mass)))
-        focals = canonical_focals(items, BELIEF)
+        picks = (zip(*choice) for choice in itertools.product(*per_parent))  # (slices, masses) each
+        focals = canonical_focals([(frozenset(chain(*slices)), math.prod(masses)) for slices, masses in picks], "mass")
         ballooned = Valuation(parent_names | {head.name}, frames, BELIEF, focals, label)
         return super().__new__(cls, head, parents, normalized, ballooned, label)
 
@@ -339,7 +328,7 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
 
     @property
     def domain(self):
-        return self.ballooned.domain
+        return frozenset(p.name for p in self.parents) | {self.head.name}
 
 
 def _parent_tables(names, frames, tables):

@@ -18,7 +18,7 @@ from valnet import (
 )
 from valnet import calculus
 from valnet.calculus import combine_all_traced, marginalize_belief
-from valnet.valuation import GENERAL, Valuation, canonical_focals
+from valnet.valuation import GENERAL, Focal, Valuation
 
 from netgen import random_subsets, valuations_close
 
@@ -246,9 +246,14 @@ class TestEdgeBits:
 
 
 def general_valuation(domain, frames, items):
-    return Valuation(
-        frozenset(domain), dict(frames), GENERAL, canonical_focals(items, GENERAL)
-    )
+    """A general valuation of (support, values) items: values of equal supports add, focals sorted."""
+    merged = {}
+    for support, values in items:
+        sums = merged.setdefault(support, dict.fromkeys(support, 0.0))
+        for x, val in values.items():
+            sums[x] += val
+    focals = tuple(Focal(s, merged[s]) for s in sorted(merged, key=sorted))
+    return Valuation(frozenset(domain), dict(frames), GENERAL, focals)
 
 
 class TestMarginalizeDecision:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from valnet import calculus, solver, valuation
+from valnet import ValnetError, calculus, parse_problem, solver, valuation
 from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_SOLVER, build_parser, main
 
 from conftest import CHAIN, GOLDEN, ROOT, WILDCATTER_PATH
@@ -283,6 +283,22 @@ def test_strategy_past_the_limit_is_a_solver_error(capsys, tmp_path):
         "solver error: the strategy would hold 131071 entries with the map for 'D17', "
         "more than the limit of %d\n" % solver.STRATEGY_LIMIT
     )
+
+
+def test_solving_a_network_without_utilities_is_refused(capsys, tmp_path):
+    # Its joint belief's total mass, 1, is no expected utility; valnet marginal answers it.
+    text = "random R { x, y }\nbpa b on {R} { {x} = 1 }\n"
+    message = "solving needs a network with utilities; use valnet marginal for one without"
+    network = parse_problem(text).network
+    for call in (solver.solve, solver.oracle_solve, lambda net, lam: solver.lambda_sweep(net, [lam])):
+        with pytest.raises(ValnetError) as exc:
+            call(network, 0.5)
+        assert str(exc.value) == message
+    path = write(tmp_path, text)
+    for argv in (["solve", "--lambda", "0.5"], ["solve", "--lambda", "0.5", "--trace", "--machine"],
+                 ["sweep", "--lambdas", "0,1"], ["sweep", "--lambdas", "0,1", "--machine"]):
+        assert run(capsys, *argv, path) == (EXIT_SOLVER, "", "solver error: %s\n" % message)
+    assert run(capsys, "marginal", "--target", "R", path)[0] == EXIT_OK
 
 
 class TestMarginal:

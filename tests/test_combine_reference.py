@@ -37,7 +37,7 @@ from valnet.calculus import (
 )
 from valnet.model import all_configs
 from valnet.solver import fuse
-from valnet.valuation import BELIEF, GENERAL, Valuation, canonical_focals
+from valnet.valuation import BELIEF, GENERAL, Focal, Valuation
 
 from conftest import concat_configs, project_config
 from netgen import random_network
@@ -116,11 +116,16 @@ def reference_combine(valuations):
         provenance.setdefault(joint, []).append(tuple(source))
     if not accum:
         raise TotalConflictError("no joint focal has a nonempty support")
-    items = [
-        (joint, _finite({z: _fsum(vals) for z, vals in values.items()}, "combined value"))
+    merged = {
+        joint: _finite({z: _fsum(vals) for z, vals in values.items()}, "combined value")
         for joint, values in accum.items()
-    ]
-    focals = canonical_focals(items, GENERAL if others else BELIEF)
+    }
+    # Sorted by their configurations; a belief focal without mass is dropped.
+    focals = tuple(
+        Focal(joint, merged[joint])
+        for joint in sorted(merged, key=sorted)
+        if others or any(merged[joint].values())
+    )
     kind = _nonbelief_kind(union, frames, focals) if others else BELIEF
     return Valuation(union, frames, kind, focals), [provenance[f.support] for f in focals]
 
@@ -197,12 +202,9 @@ def bpa(variables, pairs):
 def general(variables, entries):
     """A general valuation with one focal per {configuration: value} dict."""
     frames = {v.name: v.frame for v in variables}
-    items = [
-        (frozenset(values), values)
-        for values in ({make_config(d): val for d, val in entry} for entry in entries)
-    ]
-    domain = frozenset(frames)
-    return Valuation(domain, frames, GENERAL, canonical_focals(items, GENERAL))
+    tables = [{make_config(d): val for d, val in entry} for entry in entries]
+    focals = tuple(Focal(frozenset(values), values) for values in sorted(tables, key=sorted))
+    return Valuation(frozenset(frames), frames, GENERAL, focals)
 
 
 def test_disjoint_domains_give_a_cross_product():

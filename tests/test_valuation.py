@@ -29,7 +29,7 @@ from valnet import (
 )
 from valnet import all_configs, valuation
 from valnet.calculus import marginalize_belief
-from valnet.valuation import BELIEF, Focal, canonical_focals, is_vacuous
+from valnet.valuation import Focal, canonical_focals, is_vacuous
 
 from conftest import concat_configs, project_config
 from netgen import random_subsets
@@ -357,12 +357,13 @@ def balloon_reference(head, parents, tables):
     """The balloon built the slow way, from its definition.
 
     Every pick of one entry per parent configuration joins the cells of its
-    subsets, each cell sorted by ``concat_configs``; the masses multiply, and
-    ``canonical_focals`` merges equal supports and orders the focals.
+    subsets, each cell sorted by ``concat_configs``; the masses multiply.  A
+    pick without mass is skipped, the masses of equal supports add in pick
+    order, and the focals are ordered by their sorted configurations.
     """
     frames = {v.name: v.frame for v in parents + [head]}
     configs = all_configs([p.name for p in parents], frames)
-    items = []
+    merged = {}
     for choice in itertools.product(*(tables[c] for c in configs)):
         mass = math.prod(m for _, m in choice)
         if mass <= 0:
@@ -371,8 +372,8 @@ def balloon_reference(head, parents, tables):
             concat_configs(c, make_config({head.name: r}))
             for c, (subset, _) in zip(configs, choice) for r in subset
         )
-        items.append((support, {x: mass for x in support}))
-    return canonical_focals(items, BELIEF)
+        merged[support] = merged[support] + mass if support in merged else mass
+    return [Focal(s, {x: merged[s] for x in s}) for s in sorted(merged, key=sorted)]
 
 
 @st.composite
@@ -477,14 +478,81 @@ def test_focal_values_must_cover_exactly_the_support():
 
 def test_canonical_focals_merges_without_changing_its_inputs():
     both = focal_set({"T": "t"}, {"T": "~t"})
-    first, second, third = ({x: m for x in both} for m in (0.25, 0.5, 0.125))
-    alone = {make_config({"T": "t"}): 0.125}
-    items = [(both, first), (focal(T="t"), alone), (both, second), (both, third)]
-    copies = [dict(values) for _, values in items]
-    out = valuation.canonical_focals(items, valuation.BELIEF)
-    assert [values for _, values in items] == copies
-    assert [f.values for f in out] == [alone, {x: 0.875 for x in both}]
-    assert out[0].values is alone  # a focal that merges nothing adopts its dict
+    items = [(both, 0.25), (focal(T="t"), 0.125), (both, 0.0), (both, 0.5), (both, 0.125)]
+    copies = list(items)
+    out = canonical_focals(items, "mass")
+    assert items == copies
+    assert [f.values for f in out] == [dict.fromkeys(focal(T="t"), 0.125), dict.fromkeys(both, 0.875)]
+    assert canonical_focals([(both, 0.0), (focal(T="t"), -0.0)], "mass") == ()
+    with pytest.raises(SolverError, match=re.escape("combined value is not finite at (('T', 't'),)")):
+        canonical_focals([(focal(T="~t"), math.inf), (both, 1.0), (both, math.nan)], "combined value")
+
+
+def reference_belief_focals(items, what):
+    """Belief focals by their definition, kept apart from ``canonical_focals``.
+
+    A mass that is zero is skipped; the others of one support add left to
+    right from the first, and the first such item's support is kept.  The
+    focals are ordered by their sorted configurations, the first non-finite
+    mass in that order is refused at its support's smallest configuration,
+    and a total of zero is dropped.
+    """
+    supports, masses = [], []
+    for support, mass in items:
+        if mass == 0:
+            continue
+        if support in supports:
+            masses[supports.index(support)] += mass
+        else:
+            supports.append(support)
+            masses.append(mass)
+    order = sorted(range(len(supports)), key=lambda i: sorted(supports[i]))
+    for i in order:
+        if math.isnan(masses[i]) or math.isinf(masses[i]):
+            raise SolverError("%s is not finite at %r" % (what, sorted(supports[i])[0]))
+    return [(supports[i], {x: masses[i] for x in supports[i]}) for i in order if masses[i] != 0]
+
+
+@st.composite
+def belief_items(draw):
+    """(support, mass) items: repeated supports; zero, subnormal and cancelling masses; one non-finite mass."""
+    configs = [make_config({"R": r, "O": o}) for r in R.frame[:2] for o in O.frame]
+    members = st.lists(st.sampled_from(configs), min_size=1)
+    pool = [frozenset(draw(members)) for _ in range(draw(st.integers(1, 4)))]
+    # Each support again, cut down in place from all the configurations: an
+    # equal set that often iterates in another order, so the support a focal keeps shows.
+    for support in pool[:]:
+        kept = set(configs)
+        kept -= kept - support
+        pool.append(frozenset(kept))
+    masses = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.5, -0.5]),  # 0.5 - 0.5 cancels
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1e-300, allow_subnormal=True),
+    )
+    items = draw(st.lists(st.tuples(st.sampled_from(pool), masses), max_size=12))
+    if items and draw(st.booleans()):
+        i = draw(st.integers(0, len(items) - 1))
+        items[i] = (items[i][0], draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+    return items
+
+
+@settings(deadline=None)
+@given(belief_items())
+def test_belief_focals_match_the_reference_builder(items):
+    try:
+        want = reference_belief_focals(items, "combined value")
+    except SolverError as e:
+        with pytest.raises(SolverError) as got:
+            canonical_focals(items, "combined value")
+        assert str(got.value) == str(e)
+        return
+    got = canonical_focals(items, "combined value")
+    # The same supports, members in the same iteration order, and bit-identical masses.
+    assert [f.support for f in got] == [s for s, _ in want]
+    assert [[(x, m.hex()) for x, m in f.values.items()] for f in got] == [
+        [(x, m.hex()) for x, m in values.items()] for _, values in want
+    ]
 
 
 def test_focal_is_checked_on_every_construction_path():
