@@ -49,6 +49,7 @@ from .solver import (
     solve,
 )
 from .valuation import (
+    BeliefFocal,
     ConditionalPotential,
     Focal,
     Valuation,

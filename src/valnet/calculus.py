@@ -124,12 +124,11 @@ def combine_all_traced(valuations):
     focals are joined with the others.  That normalization matters only to
     direct library callers: on a valid network no fusion step of ``solve``
     or ``propagate_marginal`` meets conflict.  Each distinct joint support is
-    one frozenset.  Each combination gives one values dict over its joint
-    (one mass in a belief-only pool, since every member carries the same
-    mass); only a joint that several combinations reach sums them, per
-    configuration, by an exact fsum.  A belief-only pool's joints and masses
-    become focals through ``canonical_focals``.  Non-beliefs are combined before
-    beliefs, and each belief focal's mass is read once.  More than
+    one frozenset.  Each combination gives one values dict over its joint, or
+    one mass in a belief-only pool; only a joint that several combinations
+    reach sums them by an exact fsum.  A belief-only pool's joints and masses
+    become focals through ``canonical_focals``.  Non-beliefs are combined
+    before beliefs, and each belief focal's mass is read once.  More than
     ``COMBINE_LIMIT`` focal combinations raise ``SolverError`` before any join.
 
     Returns (valuation, provenance) where provenance is a list parallel to the

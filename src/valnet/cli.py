@@ -206,13 +206,14 @@ def _step_lines(network, index, step, lam):
         alone = step.combined._replace(focals=(focal,))
         marginal = marginalize(alone, variable, lam)[0].focals[0].values
         ordered = sorted(focal.support, key=lambda z: (to_rest(z), z))
+        columns = [(project, v.focals[i].values) for v, i, project in zip(step.inputs, sources, to_inputs)]
+        combined = focal.values  # read once: a belief focal derives its values on every read
         seen = set()
         for z in ordered:
             x = to_rest(z)
             cells = [str(j + 1) if z == ordered[0] else "", fmt(z)]
-            for v, i, project in zip(step.inputs, sources, to_inputs):
-                cells.append(_fmt(v.focals[i].values[project(z)]))
-            cells.append(_fmt(focal.values[z]))
+            cells += [_fmt(values[project(z)]) for project, values in columns]
+            cells.append(_fmt(combined[z]))
             first = x not in seen  # a projected configuration's columns fill once
             seen.add(x)
             cells.append(_fmt(marginal[x]) if first else "")

@@ -54,6 +54,8 @@ class Network:
             self.by_name[v.name] = v
         self.frames = {v.name: v.frame for v in self.variables}
         self.decl_index = {v.name: i for i, v in enumerate(self.variables)}
+        self.decisions = tuple(v for v in self.variables if v.kind == DECISION)
+        self.randoms = tuple(v for v in self.variables if v.kind == RANDOM)
 
         declared = set(self.by_name)
         for x, y in self.arcs:
@@ -87,14 +89,6 @@ class Network:
             and self.utilities == other.utilities
             and self.potentials == other.potentials
         )
-
-    @property
-    def decisions(self):
-        return [v for v in self.variables if v.kind == DECISION]
-
-    @property
-    def randoms(self):
-        return [v for v in self.variables if v.kind == RANDOM]
 
     def closure(self):
         """Transitive closure of the arcs, as a set of (before, after) pairs."""

@@ -1,10 +1,10 @@
 """Valuations as sets of extended focal elements.
 
 A valuation attaches to each focal element (a frozenset of configurations
-over the valuation's domain) a real value per configuration.  Belief
-functions carry one constant mass per focal, utility valuations consist of a
-single focal covering the whole frame, and anything else produced by the
-calculus is labelled "general".
+over the valuation's domain) a real value per configuration.  A belief
+function's focals are ``BeliefFocal`` records, a support and its one mass;
+utility valuations consist of a single ``Focal`` covering the whole frame,
+and anything else produced by the calculus is labelled "general".
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ BALLOON_LIMIT = 10_000
 
 
 class Focal(namedtuple("Focal", "support values")):
-    """An extended focal element: a support set and one value per member."""
+    """An extended focal element of a utility or general valuation: a support set and one value per member."""
 
     __slots__ = ()
 
@@ -43,10 +43,16 @@ class Focal(namedtuple("Focal", "support values")):
     # ``_replace`` builds through ``_make``, which would skip ``__new__``.
     _make = classmethod(lambda cls, it: cls(*it))
 
+
+class BeliefFocal(namedtuple("BeliefFocal", "support mass")):
+    """A belief-function focal element: a support set and its one mass."""
+
+    __slots__ = ()
+
     @property
-    def mass(self):
-        """The constant value of a belief-function focal."""
-        return next(iter(self.values.values()))
+    def values(self):
+        """The mass at every member of the support, as a new dict."""
+        return dict.fromkeys(self.support, self.mass)
 
 
 class Valuation(namedtuple("Valuation", "domain frames kind focals label", defaults=("",))):
@@ -99,8 +105,7 @@ def canonical_focals(items, what):
     fold in item order, as ``_fold`` adds; a merged focal keeps the first
     such item's support.  The focals come in focal order, without those whose
     masses add to zero; a non-finite mass raises ``SolverError`` naming
-    ``what`` and the smallest configuration of its support.  A focal's values
-    are its mass at every member of its support.
+    ``what`` and the smallest configuration of its support.
     """
     merged = {}
     for support, mass in items:
@@ -112,7 +117,7 @@ def canonical_focals(items, what):
         if not math.isfinite(mass):
             raise SolverError("%s is not finite at %r" % (what, min(support)))
         if mass:
-            focals.append(Focal(support, dict.fromkeys(support, mass)))
+            focals.append(BeliefFocal(support, mass))
     return tuple(focals)
 
 

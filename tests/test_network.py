@@ -143,6 +143,13 @@ class TestNetworkStructure:
             assert twin == net
             assert twin.potentials == net.potentials
 
+    def test_decisions_and_randoms_are_worked_out_once(self, wildcatter):
+        net = wildcatter.network
+        assert net.decisions is net.decisions and net.randoms is net.randoms
+        assert type(net.decisions) is type(net.randoms) is tuple
+        assert [v.name for v in net.decisions] == [v.name for v in net.variables if v.is_decision]
+        assert [v.name for v in net.randoms] == [v.name for v in net.variables if not v.is_decision]
+
     def test_closure_is_transitive(self, wildcatter):
         net = wildcatter.network
         assert net.before("T", "O")

@@ -29,7 +29,7 @@ from valnet import (
 )
 from valnet import all_configs, valuation
 from valnet.calculus import marginalize_belief
-from valnet.valuation import Focal, canonical_focals, is_vacuous
+from valnet.valuation import BeliefFocal, Focal, canonical_focals, is_vacuous
 
 from conftest import concat_configs, project_config
 from netgen import random_subsets
@@ -359,7 +359,8 @@ def balloon_reference(head, parents, tables):
     Every pick of one entry per parent configuration joins the cells of its
     subsets, each cell sorted by ``concat_configs``; the masses multiply.  A
     pick without mass is skipped, the masses of equal supports add in pick
-    order, and the focals are ordered by their sorted configurations.
+    order, and the (support, mass) focals are ordered by their sorted
+    configurations.
     """
     frames = {v.name: v.frame for v in parents + [head]}
     configs = all_configs([p.name for p in parents], frames)
@@ -373,7 +374,7 @@ def balloon_reference(head, parents, tables):
             for c, (subset, _) in zip(configs, choice) for r in subset
         )
         merged[support] = merged[support] + mass if support in merged else mass
-    return [Focal(s, {x: merged[s] for x in s}) for s in sorted(merged, key=sorted)]
+    return [(s, merged[s]) for s in sorted(merged, key=sorted)]
 
 
 @st.composite
@@ -402,10 +403,10 @@ def test_balloon_matches_the_reference_construction(case):
     head, parents, tables = case
     got = conditional(head, parents, tables).ballooned.focals
     want = balloon_reference(head, parents, tables)
-    assert [f.support for f in got] == [f.support for f in want]
+    assert [f.support for f in got] == [s for s, _ in want]
     # The same members in the same iteration order, and bit-identical masses.
-    assert [list(f.values.items()) for f in got] == [list(f.values.items()) for f in want]
-    assert [f.mass.hex() for f in got] == [f.mass.hex() for f in want]
+    assert [list(f.support) for f in got] == [list(s) for s, _ in want]
+    assert [f.mass.hex() for f in got] == [m.hex() for _, m in want]
 
 
 class TestIsConditional:
@@ -470,10 +471,30 @@ def test_a_valuation_needs_distinct_variables(build):
 
 def test_focal_values_must_cover_exactly_the_support():
     support = focal_set({"T": "t"}, {"T": "~t"})
-    assert Focal(support, {x: 0.5 for x in support}).mass == 0.5
+    good = {x: 0.5 for x in support}
+    assert Focal(support, good).values is good
     for values in ({make_config({"T": "t"}): 1.0}, {x: 0.5 for x in support | focal(R="re")}):
         with pytest.raises(DomainMismatchError, match="cover exactly the support"):
             Focal(support, values)
+
+
+def test_belief_focal_is_a_support_and_one_mass():
+    support = focal_set({"T": "t"}, {"T": "~t"})
+    f = BeliefFocal(support, 0.25)
+    assert BeliefFocal._fields == ("support", "mass")
+    assert f == BeliefFocal(frozenset(support), 0.25) == (support, 0.25)
+    assert f != BeliefFocal(support, 0.5)
+    assert f._replace(mass=0.75) == BeliefFocal(support, 0.75)
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(twin) is BeliefFocal and twin == f
+    # values is derived: a new dict on every read, the mass at each member in support order.
+    assert f.values == dict.fromkeys(support, 0.25)
+    assert list(f.values) == list(support)
+    assert f.values is not f.values
+    with pytest.raises(AttributeError):
+        f.values = {}
+    assert not hasattr(Focal, "mass")
+    assert [type(g) for g in canonical_focals([(support, 0.5), (focal(T="t"), 0.5)], "mass")] == [BeliefFocal] * 2
 
 
 def test_canonical_focals_merges_without_changing_its_inputs():
