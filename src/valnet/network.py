@@ -1,8 +1,9 @@
 """Decision networks: variables, valuations, precedence arcs and validation.
 
-The precedence relation is the transitive closure of the declared arcs;
-``X > Y`` means X comes before Y chronologically, so Y must be eliminated
-first.  Validation checks the coverage conditions (every decision in some
+The precedence relation is the transitive closure of the declared arcs,
+kept as one bitset per variable of the variables it precedes; ``X > Y``
+means X comes before Y chronologically, so Y must be eliminated first.
+Validation checks the coverage conditions (every decision in some
 utility, every random in some potential), the five precedence constraints,
 the one-conditional-per-random assumption, and that every potential really
 is conditional on its parents.
@@ -77,8 +78,7 @@ class Network:
             if wrong:
                 raise NetworkError("%s frame for %r differs from its declaration" % (what, wrong[0]))
 
-        self._closure = None
-        self._report = None
+        self._reach = self._report = None
 
     def __eq__(self, other):
         if not isinstance(other, Network):
@@ -90,28 +90,24 @@ class Network:
             and self.potentials == other.potentials
         )
 
-    def closure(self):
-        """Transitive closure of the arcs, as a set of (before, after) pairs."""
-        if self._closure is None:
-            reach = {v.name: set() for v in self.variables}
+    def _precedence(self):
+        """Per declared variable, the bitset of the variables it precedes; bit i is the i-th declared."""
+        if self._reach is None:
+            index = self.decl_index
+            reach = [0] * len(self.variables)
             for x, y in self.arcs:
-                reach[x].add(y)
-            changed = True
-            while changed:
-                changed = False
-                for x in reach:
-                    extra = set()
-                    for y in reach[x]:
-                        extra |= reach[y]
-                    if not extra <= reach[x]:
-                        reach[x] |= extra
-                        changed = True
-            self._closure = frozenset((x, y) for x, ys in reach.items() for y in ys)
-        return self._closure
+                reach[index[x]] |= 1 << index[y]
+            # Warshall's algorithm: whatever reaches k reaches all that k reaches.
+            for k in range(len(reach)):
+                via = reach[k]
+                reach = [r | via if r >> k & 1 else r for r in reach]
+            self._reach = tuple(reach)
+        return self._reach
 
     def before(self, x, y):
         """True iff x chronologically precedes y (x > y in elimination terms)."""
-        return (x, y) in self.closure()
+        i, j = self.decl_index.get(x), self.decl_index.get(y)
+        return i is not None and j is not None and bool(self._precedence()[i] >> j & 1)
 
 
 def validate(network):
@@ -122,59 +118,66 @@ def validate(network):
 
 
 def _findings(net):
-    closure = net.closure()
+    reach = net._precedence()
+    index = net.decl_index
+    decisions = [index[d.name] for d in net.decisions]
+    randoms = [index[r.name] for r in net.randoms]
+    name = [v.name for v in net.variables]
+    domains = [p.domain for p in net.potentials]
 
-    covered = set().union(*(u.domain for u in net.utilities)) if net.utilities else set()
+    covered = set().union(*(u.domain for u in net.utilities))
     for d in net.decisions:
         if d.name not in covered:
             yield Finding("a", "decision variable %r appears in no utility valuation" % d.name)
-    pot_cover = set().union(*(p.domain for p in net.potentials)) if net.potentials else set()
+    pot_cover = set().union(*domains)
     for r in net.randoms:
         if r.name not in pot_cover:
             yield Finding("b", "random variable %r appears in no potential" % r.name)
 
-    cyclic = sorted(x for x, y in closure if x == y)
+    cyclic = sorted(name[i] for i, after in enumerate(reach) if after >> i & 1)
     if cyclic:
         yield Finding("p1", "precedence closure is not irreflexive (cycle through %s)" % ", ".join(cyclic))
 
-    for d in net.decisions:
-        for r in net.randoms:
-            if not net.before(d.name, r.name) and not net.before(r.name, d.name):
-                yield Finding("p2", "decision %r and random %r are incomparable" % (d.name, r.name))
+    for d in decisions:
+        for r in randoms:
+            if not (reach[d] >> r & 1 or reach[r] >> d & 1):
+                yield Finding("p2", "decision %r and random %r are incomparable" % (name[d], name[r]))
 
-    for p in net.potentials:
-        head = p.head.name
-        for d in net.decisions:
-            if d.name in p.domain and not net.before(d.name, head):
+    for p, domain in zip(net.potentials, domains):
+        head = index[p.head.name]
+        for d in decisions:
+            if name[d] in domain and not reach[d] >> head & 1:
                 yield Finding(
                     "p3",
                     "conditional potential for %r contains decision %r which does not precede it"
-                    % (head, d.name),
+                    % (p.head.name, name[d]),
                 )
 
-    for p in net.potentials:
-        randoms_in = [v for v in p.domain if net.by_name[v].kind == RANDOM]
-        for d in net.decisions:
-            if d.name in p.domain and not any(net.before(d.name, r) for r in randoms_in):
+    for domain in domains:
+        randoms_in = sum(1 << index[n] for n in domain if net.by_name[n].kind == RANDOM)
+        for d in decisions:
+            if name[d] in domain and not reach[d] & randoms_in:
                 yield Finding(
                     "p4",
                     "potential on %r contains decision %r preceding none of its random variables"
-                    % (sorted(p.domain), d.name),
+                    % (sorted(domain), name[d]),
                 )
 
-    if net.decisions:
-        randoms = [r.name for r in net.randoms]
-        for i, r1 in enumerate(randoms):
-            for r2 in randoms[i + 1:]:
-                between = any(
-                    (net.before(r1, d.name) and net.before(d.name, r2))
-                    or (net.before(r2, d.name) and net.before(d.name, r1))
-                    for d in net.decisions
-                )
-                if not between:
+    if decisions:
+        # A decision lies strictly between r1 and r2 iff r2 comes after some
+        # decision that comes after r1, or the same with r1 and r2 swapped.
+        later = [0] * len(reach)
+        for r in randoms:
+            for d in decisions:
+                if reach[r] >> d & 1:
+                    later[r] |= reach[d]
+        for k, r1 in enumerate(randoms):
+            for r2 in randoms[k + 1:]:
+                if not (later[r1] >> r2 & 1 or later[r2] >> r1 & 1):
                     yield Finding(
                         "p5",
-                        "no decision variable lies strictly between randoms %r and %r" % (r1, r2),
+                        "no decision variable lies strictly between randoms %r and %r"
+                        % (name[r1], name[r2]),
                     )
 
     heads = {}
@@ -190,7 +193,7 @@ def _findings(net):
             )
         for p in owned:
             for parent in p.parents:
-                if not net.before(parent.name, r.name):
+                if not reach[index[parent.name]] >> index[r.name] & 1:
                     yield Finding(
                         "A1",
                         "parent %r of the potential for %r does not precede it"
@@ -210,22 +213,16 @@ def _findings(net):
 def elimination_order(network):
     """Deletion sequence: repeatedly take the minimal variable under >.
 
-    A variable is minimal when nothing remaining comes after it; ties break by
-    declaration order.
+    A variable is minimal when it precedes no other remaining variable; ties
+    break by declaration order.
     """
-    net = network
-    closure = net.closure()
-    remaining = [v.name for v in net.variables]
+    reach = network._precedence()
+    left = (1 << len(reach)) - 1
     order = []
-    while remaining:
-        pool = set(remaining)
-        minimal = [
-            x for x in remaining
-            if not any((x, y) in closure for y in pool if y != x)
-        ]
-        if not minimal:
+    while left:
+        pick = next((i for i, after in enumerate(reach) if left >> i & 1 and not after & left & ~(1 << i)), None)
+        if pick is None:
             raise NetworkError("precedence relation is cyclic; no minimal variable")
-        pick = min(minimal, key=lambda n: net.decl_index[n])
-        order.append(pick)
-        remaining.remove(pick)
+        order.append(network.variables[pick].name)
+        left ^= 1 << pick
     return tuple(order)

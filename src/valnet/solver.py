@@ -312,11 +312,13 @@ def propagate_marginal(network, target):
         raise NetworkError("unknown variable %r" % target)
     if not any(target in p.domain for p in network.potentials):
         raise NetworkError("no potential mentions %r" % target)
-    ancestral, grown = {target}, True
-    while grown:
-        parents = {q.name for p in network.potentials if p.head.name in ancestral for q in p.parents}
-        grown = not parents <= ancestral
-        ancestral |= parents
+    # Condition A1 holds, so each variable heads exactly one potential.
+    parents = {p.head.name: [q.name for q in p.parents] for p in network.potentials}
+    ancestral, walk = {target}, [target]
+    while walk:
+        new = [q for q in parents[walk.pop()] if q not in ancestral]
+        ancestral.update(new)
+        walk += new
     pool = [p.ballooned for p in network.potentials if p.head.name in ancestral]
     # Fusion never adds a variable and removes only the one it eliminates,
     # so the pool's variables can be read off once, up front.

@@ -3,24 +3,29 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from valnet import (
     ConditionalPotential,
     Network,
     NetworkError,
+    all_configs,
     conditional,
     decision,
     elimination_order,
     make_config,
     make_utility,
+    parse_problem,
     random_var,
     vacuous,
     validate,
 )
 from valnet.calculus import combine_all, marginalize_belief
-from valnet.valuation import is_vacuous
+from valnet.network import Finding
+from valnet.valuation import is_conditional, is_vacuous
 
-from netgen import random_network
+from netgen import decision_chain, random_network
 
 T = decision("T", ("t", "~t"))
 R = random_var("R", ("re", "ye", "gr", "nr"))
@@ -156,6 +161,11 @@ class TestNetworkStructure:
         assert net.before("T", "D")
         assert not net.before("O", "T")
 
+    def test_before_on_an_undeclared_name_is_false(self, wildcatter):
+        net = wildcatter.network
+        for x, y in [("T", "Z"), ("Z", "T"), ("Z", "Z"), ("Z", "Y")]:
+            assert net.before(x, y) is False
+
     def test_closure_recomputes_per_instance(self, wildcatter):
         variables, utilities, potentials, arcs = wildcatter_parts(wildcatter)
         full = Network(variables, utilities, potentials, arcs)
@@ -211,8 +221,10 @@ class TestEliminationOrder:
             order = elimination_order(net)
             assert sorted(order) == sorted(net.by_name)
             position = {n: i for i, n in enumerate(order)}
-            for x, y in net.closure():
-                assert position[y] < position[x]
+            for x in order:
+                for y in order:
+                    if net.before(x, y):
+                        assert position[y] < position[x]
 
     def test_cycle_raises(self):
         a = decision("A", ("a1", "a2"))
@@ -220,3 +232,193 @@ class TestEliminationOrder:
         net = Network([a, b], arcs=[("A", "B"), ("B", "A")])
         with pytest.raises(NetworkError):
             elimination_order(net)
+
+
+def test_validate_and_order_make_fewer_than_v_squared_before_calls(monkeypatch):
+    # A work guard rather than a timing test: the pair-set code asked
+    # `before` 358,450 times here, inside cubic loops.
+    net = parse_problem(decision_chain(100)).network
+    calls = 0
+    real_before = Network.before
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return real_before(self, x, y)
+
+    monkeypatch.setattr(Network, "before", counted)
+    assert validate(net).ok
+    elimination_order(net)
+    assert len(net.variables) == 200
+    assert calls < 200 * 200
+
+
+# The pair-set precedence that the per-variable bitsets replaced: a fixpoint
+# closure, the findings loops over `before` and the elimination order by
+# closure lookups, kept as the reference for the property below.
+def reference_closure(net):
+    reach = {v.name: set() for v in net.variables}
+    for x, y in net.arcs:
+        reach[x].add(y)
+    changed = True
+    while changed:
+        changed = False
+        for x in reach:
+            extra = set()
+            for y in reach[x]:
+                extra |= reach[y]
+            if not extra <= reach[x]:
+                reach[x] |= extra
+                changed = True
+    return frozenset((x, y) for x, ys in reach.items() for y in ys)
+
+
+def reference_findings(net):
+    closure = reference_closure(net)
+
+    def before(x, y):
+        return (x, y) in closure
+
+    covered = set().union(*(u.domain for u in net.utilities)) if net.utilities else set()
+    for d in net.decisions:
+        if d.name not in covered:
+            yield Finding("a", "decision variable %r appears in no utility valuation" % d.name)
+    pot_cover = set().union(*(p.domain for p in net.potentials)) if net.potentials else set()
+    for r in net.randoms:
+        if r.name not in pot_cover:
+            yield Finding("b", "random variable %r appears in no potential" % r.name)
+
+    cyclic = sorted(x for x, y in closure if x == y)
+    if cyclic:
+        yield Finding("p1", "precedence closure is not irreflexive (cycle through %s)" % ", ".join(cyclic))
+
+    for d in net.decisions:
+        for r in net.randoms:
+            if not before(d.name, r.name) and not before(r.name, d.name):
+                yield Finding("p2", "decision %r and random %r are incomparable" % (d.name, r.name))
+
+    for p in net.potentials:
+        head = p.head.name
+        for d in net.decisions:
+            if d.name in p.domain and not before(d.name, head):
+                yield Finding(
+                    "p3",
+                    "conditional potential for %r contains decision %r which does not precede it"
+                    % (head, d.name),
+                )
+
+    for p in net.potentials:
+        randoms_in = [v for v in p.domain if net.by_name[v].kind == "random"]
+        for d in net.decisions:
+            if d.name in p.domain and not any(before(d.name, r) for r in randoms_in):
+                yield Finding(
+                    "p4",
+                    "potential on %r contains decision %r preceding none of its random variables"
+                    % (sorted(p.domain), d.name),
+                )
+
+    if net.decisions:
+        randoms = [r.name for r in net.randoms]
+        for i, r1 in enumerate(randoms):
+            for r2 in randoms[i + 1:]:
+                between = any(
+                    (before(r1, d.name) and before(d.name, r2))
+                    or (before(r2, d.name) and before(d.name, r1))
+                    for d in net.decisions
+                )
+                if not between:
+                    yield Finding(
+                        "p5",
+                        "no decision variable lies strictly between randoms %r and %r" % (r1, r2),
+                    )
+
+    heads = {}
+    for p in net.potentials:
+        heads.setdefault(p.head.name, []).append(p)
+    for r in net.randoms:
+        owned = heads.get(r.name, [])
+        if len(owned) != 1:
+            yield Finding(
+                "A1",
+                "random variable %r has %d conditional potentials, expected exactly one"
+                % (r.name, len(owned)),
+            )
+        for p in owned:
+            for parent in p.parents:
+                if not before(parent.name, r.name):
+                    yield Finding(
+                        "A1",
+                        "parent %r of the potential for %r does not precede it"
+                        % (parent.name, r.name),
+                    )
+
+    for p in net.potentials:
+        if not is_conditional(p.ballooned, p.head.name):
+            yield Finding(
+                "d",
+                "potential for %r does not marginalize to the vacuous belief function on its parents"
+                % p.head.name,
+            )
+
+
+def reference_order(net):
+    closure = reference_closure(net)
+    remaining = [v.name for v in net.variables]
+    order = []
+    while remaining:
+        pool = set(remaining)
+        minimal = [
+            x for x in remaining
+            if not any((x, y) in closure for y in pool if y != x)
+        ]
+        if not minimal:
+            raise NetworkError("precedence relation is cyclic; no minimal variable")
+        pick = min(minimal, key=lambda n: net.decl_index[n])
+        order.append(pick)
+        remaining.remove(pick)
+    return tuple(order)
+
+
+@st.composite
+def precedence_networks(draw):
+    """1-9 variables of either kind; arcs with cycles, self-loops and repeats;
+    potentials with 0-2 parents, none, one or two per random; 0-2 utilities."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=9))
+    variables = [
+        (decision if is_decision else random_var)("V%d" % i, ("a", "b"))
+        for i, is_decision in enumerate(kinds)
+    ]
+    frames = {v.name: v.frame for v in variables}
+    pick = st.sampled_from(variables)
+    arcs = draw(st.lists(st.tuples(pick, pick).map(lambda a: (a[0].name, a[1].name)), max_size=14))
+    potentials = []
+    for head in (v for v in variables if not v.is_decision):
+        for _ in range(draw(st.sampled_from([1, 0, 2]))):
+            others = [v for v in variables if v != head]
+            parents = draw(st.lists(st.sampled_from(others), max_size=2, unique=True)) if others else []
+            names = [v.name for v in parents]
+            potentials.append(conditional(head, parents, {
+                cfg: [({"a"}, 0.5), ({"a", "b"}, 0.5)] for cfg in all_configs(names, frames)
+            }))
+    utilities = []
+    for scope in draw(st.lists(st.lists(pick, min_size=1, max_size=2, unique=True), max_size=2)):
+        names = [v.name for v in scope]
+        utilities.append(make_utility(scope, {cfg: 1.0 for cfg in all_configs(names, frames)}))
+    return Network(variables, utilities, potentials, arcs)
+
+
+@given(precedence_networks())
+def test_precedence_matches_the_pair_set_reference(net):
+    assert validate(net).lines() == [f.line() for f in reference_findings(net)]
+    try:
+        expected = reference_order(net)
+    except NetworkError as exc:
+        with pytest.raises(NetworkError) as raised:
+            elimination_order(net)
+        assert str(raised.value) == str(exc)
+    else:
+        assert elimination_order(net) == expected
+    closure = reference_closure(net)
+    for x in net.by_name:
+        for y in net.by_name:
+            assert net.before(x, y) is ((x, y) in closure)
