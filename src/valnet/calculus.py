@@ -3,26 +3,31 @@
 Combination hash-joins one focal per input on their shared variables: belief
 with belief follows Dempster's rule (product, normalized by one minus the
 conflict), non-belief with non-belief adds values, and a mixed pair multiplies
-without normalization.  Marginalization removes one variable at a time: a
-maximum for decision variables and a lambda-weighted blend of maximum and
-minimum for random variables; belief valuations reduce to plain mass summation
-over projected supports.
+without normalization.  A pool of non-beliefs that each have one focal
+covering their whole frame, as every utility has, skips the join: their
+values add over the joint frame, read through position plans.
+Marginalization removes one variable at a time: a maximum for decision
+variables and a lambda-weighted blend of maximum and minimum for random
+variables; belief valuations reduce to plain mass summation over projected
+supports.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError, _refuse_past
-from .model import DIAMOND, RANDOM, Variable, extender, projector, value_reader
+from .model import DIAMOND, RANDOM, Variable, extender, iter_configs, position_plan, projector, value_reader
 from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, canonical_focals
 
 CONFLICT_TOL = 1e-12
 # Most combinations of one focal per input that ``combine_all_traced`` joins.
 COMBINE_LIMIT = 10 ** 6
-# Most configurations that one level of a ``_joint_supports`` join may hold.
+# Most configurations that one level of a ``_joint_supports`` join may hold,
+# or the frame of the first inputs' union in a ``_frame_sum``.
 JOIN_LIMIT = 10 ** 5
 
 
@@ -104,6 +109,33 @@ def _joint_supports(parts, domains):
     return level
 
 
+def _frame_sum(others, union, frames):
+    """The one focal of a pool of non-beliefs whose focals each cover their whole frame.
+
+    The union's frame is enumerated once, in ``iter_configs`` order, and each
+    input's values are added there in argument order, read through its
+    position plan; the values are keyed in the order the support iterates.
+    Each level of the join this replaces, the frame of the union of the
+    first inputs, is held to ``JOIN_LIMIT`` before anything is built.
+    """
+    domain = others[0].domain
+    for v in others[1:]:
+        domain |= v.domain
+        size = math.prod(len(frames[name]) for name in domain)
+        _refuse_past(JOIN_LIMIT, size, "combining would build {0} joint configurations")
+    configs = list(iter_configs(union, frames))
+    totals = itertools.repeat(0.0)
+    for v in others:
+        own = configs if v.domain == union else iter_configs(v.domain, frames)
+        column = list(map(v.focals[0].values.__getitem__, own))
+        totals = map(operator.add, totals, map(column.__getitem__, position_plan(union, v.domain, frames)))
+    # An input over the whole union already holds its frame as a support.
+    support = next((v.focals[0].support for v in others if v.domain == union), None) or frozenset(configs)
+    values = dict.fromkeys(support)  # keyed in the order the support iterates
+    values.update(zip(configs, totals))
+    return Focal(support, _finite(values, "combined value"))
+
+
 def combine(vi, vj):
     """Binary combination of two valuations."""
     return combine_all([vi, vj])
@@ -118,7 +150,10 @@ def combine_all(valuations):
 def combine_all_traced(valuations):
     """N-ary combination: values of non-beliefs add, belief masses multiply.
 
-    Joint supports are hash joins on the shared variables.  The joint of each
+    A pool without beliefs whose every input has one focal covering its
+    whole frame, as every utility has, is one focal over the union's frame:
+    ``_frame_sum`` adds the values there, with no join.  Otherwise joint
+    supports are hash joins on the shared variables.  The joint of each
     combination of belief focals is built once: the empty ones make up the
     conflict, by which the belief part is renormalized, and the non-belief
     focals are joined with the others.  That normalization matters only to
@@ -148,6 +183,11 @@ def combine_all_traced(valuations):
     frames = _merge_frames(inputs)
     combinations = math.prod(len(v.focals) for v in inputs)
     _refuse_past(COMBINE_LIMIT, combinations, "combining would join {0} focal combinations")
+    if not beliefs and all(
+        len(v.focals) == 1 and len(v.focals[0].support) == v.full_frame_size() > 0 for v in others
+    ):
+        focal = _frame_sum(others, union, frames)
+        return Valuation(union, frames, UTILITY, (focal,)), [[(0,) * len(others)]]
 
     parts = [{(i,): f.support for i, f in enumerate(v.focals)} for v in inputs]
     domains = [v.domain for v in inputs]

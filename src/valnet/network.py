@@ -11,6 +11,7 @@ is conditional on its parents.
 
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
 
 from .errors import NetworkError
@@ -214,15 +215,27 @@ def elimination_order(network):
     """Deletion sequence: repeatedly take the minimal variable under >.
 
     A variable is minimal when it precedes no other remaining variable; ties
-    break by declaration order.
+    break by declaration order.  Under the closure of the arcs that holds iff
+    no arc leads from it to another remaining variable, so each variable
+    counts its remaining direct successors, a self-loop aside, and a heap
+    holds the declaration indexes of those with none (Kahn's algorithm).
     """
-    reach = network._precedence()
-    left = (1 << len(reach)) - 1
+    index = network.decl_index
+    successors = [0] * len(network.variables)
+    predecessors = [[] for _ in network.variables]
+    for x, y in network.arcs:
+        if x != y:
+            successors[index[x]] += 1
+            predecessors[index[y]].append(index[x])
+    ready = [i for i, count in enumerate(successors) if not count]  # ascending, so a heap
     order = []
-    while left:
-        pick = next((i for i, after in enumerate(reach) if left >> i & 1 and not after & left & ~(1 << i)), None)
-        if pick is None:
-            raise NetworkError("precedence relation is cyclic; no minimal variable")
+    while ready:
+        pick = heapq.heappop(ready)
         order.append(network.variables[pick].name)
-        left ^= 1 << pick
+        for i in predecessors[pick]:
+            successors[i] -= 1
+            if not successors[i]:
+                heapq.heappush(ready, i)
+    if len(order) < len(network.variables):
+        raise NetworkError("precedence relation is cyclic; no minimal variable")
     return tuple(order)

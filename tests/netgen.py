@@ -248,6 +248,29 @@ def decision_fan(k):
     return "\n".join(lines + ["lambda = 0.5", ""])
 
 
+def utility_fan(k):
+    """Problem text with decisions D0 ... D(k-1) and E on 10 acts, every Di preceding E.
+
+    Each utility ui on {Di, E} has 100 rows, and there is no belief.  E is
+    eliminated first, which joins every utility into one focal over 10^(k+1)
+    configurations.
+    """
+    values = ["v%d" % j for j in range(10)]
+    frame = "{ %s }" % ", ".join(values)
+    lines = ["decision E %s" % frame]
+    for i in range(k):
+        rows = "; ".join(
+            "%s %s = %d" % (d, e, (a * 3 + b * 7 + i) % 13 - 6)
+            for a, d in enumerate(values) for b, e in enumerate(values)
+        )
+        lines += [
+            "decision D%d %s" % (i, frame),
+            "prec D%d -> E" % i,
+            "utility u%d on {D%d, E} { %s }" % (i, i, rows),
+        ]
+    return "\n".join(lines + ["lambda = 0.5", ""])
+
+
 VALUE_RTOL = 1e-6
 
 

@@ -18,7 +18,7 @@ from valnet import ValnetError, calculus, parse_problem, solver, valuation
 from valnet.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_SOLVER, build_parser, main
 
 from conftest import CHAIN, GOLDEN, ROOT, WILDCATTER_PATH
-from netgen import decision_chain, decision_fan
+from netgen import decision_chain, decision_fan, utility_fan
 
 SRC = ROOT / "src"
 
@@ -482,6 +482,22 @@ def test_a_wide_joint_support_is_refused_before_it_is_built(capsys, tmp_path):
     assert elapsed < 1.0
 
 
+def test_a_wide_utility_only_pool_is_refused_before_it_is_built(capsys, tmp_path):
+    # Eliminating E first sums five 100-row utilities over 10^6
+    # configurations; a pool without beliefs is held to the join's limit,
+    # with the same message, before any configuration is built.
+    path = write(tmp_path, utility_fan(5))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", path)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert err == (
+        "solver error: combining would build 1000000 joint configurations, "
+        "more than the limit of %d\n" % calculus.JOIN_LIMIT
+    )
+    assert elapsed < 1.0
+
+
 def near_halves():
     """R | P on 8 parent configurations, each table 2e-10 short of one."""
     values = ", ".join("p%d" % i for i in range(1, 9))
@@ -552,6 +568,7 @@ PIECES = [
 @given(st.one_of(
     st.sampled_from([WILDCATTER_PATH.read_text(), CHAIN, PROPAGATION]),
     st.sampled_from([1, 2, 3, 5]).map(decision_fan),  # 5 joins past JOIN_LIMIT
+    st.sampled_from([1, 2, 3, 5]).map(utility_fan),  # 5 sums past JOIN_LIMIT, with no belief
     st.integers(1, 4).map(decision_chain),
 ).map(str.encode).flatmap(lambda data: st.one_of(
     st.just(data),

@@ -16,8 +16,12 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from valnet import calculus
 from valnet import (
+    SolverError,
     TotalConflictError,
     ValnetError,
     elimination_order,
@@ -26,6 +30,7 @@ from valnet import (
     make_utility,
     marginalize,
     random_var,
+    vacuous,
 )
 from valnet.calculus import (
     CONFLICT_TOL,
@@ -37,7 +42,7 @@ from valnet.calculus import (
 )
 from valnet.model import all_configs
 from valnet.solver import fuse
-from valnet.valuation import BELIEF, GENERAL, Focal, Valuation
+from valnet.valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation
 
 from conftest import concat_configs, project_config
 from netgen import random_network
@@ -45,6 +50,8 @@ from netgen import random_network
 X = random_var("X", ("a", "b", "c"))
 Y = random_var("Y", ("p", "q"))
 Z = random_var("Z", ("s", "t"))
+# A frame whose values are themselves tuples.
+W = random_var("W", ((0, "x"), (1, "y"), (2, "x")))
 
 
 def config_domain(x):
@@ -173,14 +180,20 @@ def networks():
     return [random_network(rng) for _ in range(60)]
 
 
+def covers_its_frame(v):
+    """True for a non-belief with one focal over its whole frame, as every utility is."""
+    return v.kind != BELIEF and len(v.focals) == 1 and len(v.focals[0].support) == v.full_frame_size()
+
+
 def test_every_fusion_pool_matches_reference(networks):
-    pools = mixed = 0
+    pools = mixed = summed = 0
     for net in networks:
         for pool in fusion_pools(net, 0.3):
             check(pool)
             pools += 1
             mixed += len({v.kind == BELIEF for v in pool}) == 2
-    assert pools > 200 and mixed > 50
+            summed += len(pool) > 1 and all(map(covers_its_frame, pool))
+    assert pools > 200 and mixed > 50 and summed > 40
 
 
 def test_belief_only_pools_match_reference(networks):
@@ -298,3 +311,93 @@ def test_combinations_that_meet_on_one_joint_support():
     assert [v.hex() for f in merged for v in f.values.values() if len(f.support) == 2] == [
         math.fsum(masses).hex()
     ] * 2
+
+
+def utility(rng, variables):
+    """A utility over ``variables`` with values that include -0.0 and exact halves."""
+    names = [v.name for v in variables]
+    frames = {v.name: v.frame for v in variables}
+    return make_utility(variables, {
+        x: rng.choice([-0.0, 1.5, -2.25, rng.uniform(-1e3, 1e3), rng.uniform(-1e-3, 1e-3)])
+        for x in all_configs(names, frames)
+    })
+
+
+UTILITY_SCOPES = {
+    "identical": [[X, Y]] * 4,
+    "nested": [[X], [X, Y], [W, X, Y], [Y]],
+    "overlapping": [[X, Y], [Y, W], [W, Z], [Z, X]],
+    "disjoint": [[X], [Y], [W], [Z]],
+}
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", sorted(UTILITY_SCOPES))
+def test_utility_only_pools_add_over_the_joint_frame(shape, count):
+    rng = random.Random("%s %d" % (shape, count))
+    pool = [utility(rng, scope) for scope in UTILITY_SCOPES[shape][:count]]
+    assert check(pool)[2] == UTILITY
+
+
+@given(
+    st.lists(st.lists(st.sampled_from([X, Y, Z, W]), min_size=1, max_size=3, unique=True), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_utility_only_pools_match_the_reference(scopes, rng):
+    check([utility(rng, scope) for scope in scopes])
+
+
+def test_one_focal_over_part_of_its_frame_is_joined():
+    # A hand-built "utility" whose focal misses X = c has no value there to add.
+    part = {make_config({"X": "a"}): 1.25, make_config({"X": "b"}): -0.5}
+    frames = {"X": X.frame}
+    partial = Valuation(frozenset("X"), frames, UTILITY, (Focal(frozenset(part), part),))
+    rng = random.Random(3)
+    assert check([partial])[2] == GENERAL
+    check([partial, utility(rng, [X, Y])])
+    check([utility(rng, [Y]), partial, utility(rng, [X])])
+
+
+def test_a_general_label_over_the_whole_frame_is_summed():
+    # The path goes by support size, not by the kind label.
+    rng = random.Random(4)
+    u = utility(rng, [X, W])
+    relabelled = u._replace(kind=GENERAL)
+    assert check([relabelled])[2] == UTILITY
+    assert check([u, relabelled, utility(rng, [W, Z])])[2] == UTILITY
+    # make_utility turns -0.0 into 0.0; a hand-built focal keeps it, and the
+    # sum from 0.0 turns it into 0.0 as the join's sum does.
+    zeros = dict.fromkeys(all_configs(["X"], {"X": X.frame}), -0.0)
+    signed = Valuation(frozenset("X"), {"X": X.frame}, GENERAL, (Focal(frozenset(zeros), zeros),))
+    assert check([signed])[3][0][1][0][1] == (0.0).hex()
+    check([signed, signed])
+
+
+def test_utility_only_pools_never_reach_the_join(monkeypatch):
+    rng = random.Random(5)
+    pool = [utility(rng, scope) for scope in UTILITY_SCOPES["overlapping"][:3]]
+    part = {make_config({"X": "a"}): 1.0}
+    partial = Valuation(frozenset("X"), {"X": X.frame}, UTILITY, (Focal(frozenset(part), part),))
+    expected = check(pool)
+
+    def refuse(parts, domains):
+        raise RuntimeError("joined")
+
+    monkeypatch.setattr(calculus, "_joint_supports", refuse)
+    assert outcome(combine_all_traced, pool) == expected
+    assert combine_all_traced(pool + [pool[0]._replace(kind=GENERAL)])[0].kind == UTILITY
+    for joined in (pool + [vacuous([X])], [partial] + pool):
+        with pytest.raises(RuntimeError, match="joined"):
+            combine_all_traced(joined)
+
+
+def test_utility_only_pools_are_held_to_each_join_level(monkeypatch):
+    # The join's levels here are 6, 12 and 36 configurations; the first one
+    # past the limit is named, as the join names it.
+    rng = random.Random(6)
+    pool = [utility(rng, scope) for scope in ([X, Y], [Z], [W])]
+    monkeypatch.setattr(calculus, "JOIN_LIMIT", 12)
+    assert len(combine_all_traced(pool[:2])[0].focals[0].support) == 12
+    monkeypatch.setattr(calculus, "JOIN_LIMIT", 10)
+    with pytest.raises(SolverError, match="^combining would build 12 joint configurations, more than the limit of 10$"):
+        combine_all_traced(pool)

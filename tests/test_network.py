@@ -253,6 +253,19 @@ def test_validate_and_order_make_fewer_than_v_squared_before_calls(monkeypatch):
     assert calls < 200 * 200
 
 
+def test_elimination_order_reads_the_arcs_not_the_closure(monkeypatch):
+    # The order comes from each variable's count of remaining direct
+    # successors, so it needs no transitive closure.
+    net = parse_problem(decision_chain(100)).network
+
+    def refuse(self):
+        raise AssertionError("elimination_order worked out the closure")
+
+    monkeypatch.setattr(Network, "_precedence", refuse)
+    order = elimination_order(net)
+    assert order[:3] == ("R100", "D100", "R99") and len(order) == 200
+
+
 # The pair-set precedence that the per-variable bitsets replaced: a fixpoint
 # closure, the findings loops over `before` and the elimination order by
 # closure lookups, kept as the reference for the property below.
