@@ -5,7 +5,7 @@ with belief follows Dempster's rule (product, normalized by one minus the
 conflict), non-belief with non-belief adds values, and a mixed pair multiplies
 without normalization.  A pool of non-beliefs that each have one focal
 covering their whole frame, as every utility has, skips the join: their
-values add over the joint frame, read through position plans.
+values, each broadcast over the joint frame, add there.
 Marginalization removes one variable at a time: a maximum for decision
 variables and a lambda-weighted blend of maximum and minimum for random
 variables; belief valuations reduce to plain mass summation over projected
@@ -20,7 +20,7 @@ import operator
 from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError, _refuse_past
-from .model import DIAMOND, RANDOM, Variable, extender, iter_configs, position_plan, projector, value_reader
+from .model import DIAMOND, RANDOM, Variable, broadcast, extender, iter_configs, projector, value_reader
 from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, canonical_focals
 
 CONFLICT_TOL = 1e-12
@@ -112,23 +112,39 @@ def _joint_supports(parts, domains):
 def _frame_sum(others, union, frames):
     """The one focal of a pool of non-beliefs whose focals each cover their whole frame.
 
-    The union's frame is enumerated once, in ``iter_configs`` order, and each
-    input's values are added there in argument order, read through its
-    position plan; the values are keyed in the order the support iterates.
-    Each level of the join this replaces, the frame of the union of the
-    first inputs, is held to ``JOIN_LIMIT`` before anything is built.
+    A lone input's values are only added to 0.0, as the join adds them.
+    Otherwise each input's values are read in its own ``iter_configs``
+    order and broadcast over the union's frame, where they add in argument
+    order; the union's frame is enumerated once, in that order, to key the
+    result in the order the support iterates.  Each level of the join this
+    replaces, the frame of the union of the first inputs, is held to
+    ``JOIN_LIMIT`` before the union's frame is built.  None when a support
+    of the right size holds a configuration outside its frame: the join
+    combines such a pool.
     """
+    if len(others) == 1:
+        (focal,) = others[0].focals
+        read = map(focal.values.__getitem__, focal.support)
+        values = dict(zip(focal.support, map(operator.add, read, itertools.repeat(0.0))))
+        return Focal(focal.support, _finite(values, "combined value"))
+    columns, configs = [], None
+    for v in others:
+        own = iter_configs(v.domain, frames)
+        if v.domain == union:  # its frame is the union's, enumerated once
+            own = configs = configs or list(own)
+        try:
+            columns.append(list(map(v.focals[0].values.__getitem__, own)))
+        except KeyError:
+            return None
     domain = others[0].domain
     for v in others[1:]:
         domain |= v.domain
         size = math.prod(len(frames[name]) for name in domain)
         _refuse_past(JOIN_LIMIT, size, "combining would build {0} joint configurations")
-    configs = list(iter_configs(union, frames))
+    configs = configs or list(iter_configs(union, frames))
     totals = itertools.repeat(0.0)
-    for v in others:
-        own = configs if v.domain == union else iter_configs(v.domain, frames)
-        column = list(map(v.focals[0].values.__getitem__, own))
-        totals = map(operator.add, totals, map(column.__getitem__, position_plan(union, v.domain, frames)))
+    for v, column in zip(others, columns):
+        totals = map(operator.add, totals, broadcast(column, union, v.domain, frames))
     # An input over the whole union already holds its frame as a support.
     support = next((v.focals[0].support for v in others if v.domain == union), None) or frozenset(configs)
     values = dict.fromkeys(support)  # keyed in the order the support iterates
@@ -187,7 +203,8 @@ def combine_all_traced(valuations):
         len(v.focals) == 1 and len(v.focals[0].support) == v.full_frame_size() > 0 for v in others
     ):
         focal = _frame_sum(others, union, frames)
-        return Valuation(union, frames, UTILITY, (focal,)), [[(0,) * len(others)]]
+        if focal is not None:
+            return Valuation(union, frames, UTILITY, (focal,)), [[(0,) * len(others)]]
 
     parts = [{(i,): f.support for i, f in enumerate(v.focals)} for v in inputs]
     domains = [v.domain for v in inputs]

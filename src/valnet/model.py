@@ -10,13 +10,10 @@ Other modules build, read, project and extend configurations through the
 functions below, most of which make a function once per domain;
 ``config_judge`` judges every configuration that enters the program from
 outside, and ``listed_configs`` is the one map from listed values to
-configurations.  ``position_plan`` gives, for each configuration of a domain
-in ``iter_configs`` order, the position of its projection onto a sub-domain
-in that sub-domain's ``iter_configs`` order: ``iter_configs`` runs over the
-names in sorted order with the last name fastest, so a position is a sum of
-value indexes times strides.  Plans are cached by the frame sizes and
-strides alone, and the cache holds at most ``PLAN_CACHE_LIMIT`` positions
-in all.
+configurations.  ``iter_configs`` runs over the names in sorted order with
+the last name fastest, so ``broadcast`` can list values of a sub-domain's
+configurations at every configuration of a domain by repeating blocks of
+them, with no configuration built or hashed.
 """
 
 from __future__ import annotations
@@ -35,9 +32,6 @@ RANDOM = "random"
 Config = tuple
 
 DIAMOND: Config = ()
-
-# Most positions that the cached position plans hold together.
-PLAN_CACHE_LIMIT = 2 ** 18
 
 
 class Variable(namedtuple("Variable", "name kind frame")):
@@ -190,54 +184,23 @@ def listed_configs(names, frames):
     return dict(zip(values, iter_configs(names, frames)))
 
 
-class PlanCache(dict):
-    """Position plans by radix layout, holding at most ``limit`` positions in all.
+def broadcast(values, domain, onto, frames):
+    """``values`` of the configurations of ``onto``, listed at each configuration of ``domain``.
 
-    Storing a plan that would pass the limit empties the cache first; a plan
-    longer than the limit itself is handed back but not kept.
+    ``values`` lists one value per configuration of ``onto``, a subset of
+    ``domain``, in ``iter_configs`` order; the result lists, for each
+    configuration of ``domain`` in ``iter_configs`` order, the value of its
+    projection onto ``onto``.  The names are taken fastest first: the values
+    already laid out fall into blocks, a name of ``onto`` joins the block it
+    encloses, and any other name repeats each block once per frame value.
     """
-
-    def __init__(self, limit):
-        super().__init__()
-        self.limit = limit
-        self.held = 0
-
-    def store(self, layout, plan):
-        if self.held + len(plan) > self.limit:
-            self.clear()
-            self.held = 0
-        if len(plan) <= self.limit:
-            self[layout] = plan
-            self.held += len(plan)
-        return plan
-
-
-_plans = PlanCache(PLAN_CACHE_LIMIT)
-
-
-def position_plan(domain, onto, frames):
-    """Tuple of the positions of each configuration's projection onto ``onto``.
-
-    For each configuration of ``domain`` in ``iter_configs`` order, the
-    position of its projection onto the names of ``onto`` it holds, in
-    ``iter_configs`` order over those names.  ``frames`` maps each name to
-    its frame.  The plan depends only on the frame sizes in name order and on
-    the names ``onto`` holds, so it is cached under their (size, stride)
-    pairs.
-    """
-    names = sorted(domain)
-    layout, stride = [], 1
-    for name in reversed(names):
+    block = 1
+    for name in sorted(domain, reverse=True):
         size = len(frames[name])
-        layout.append((size, stride if name in onto else 0))
-        if name in onto:
-            stride *= size
-    layout = tuple(reversed(layout))
-    plan = _plans.get(layout)
-    if plan is None:
-        plan = [0]
-        for size, stride in layout:
-            steps = [j * stride for j in range(size)]
-            plan = [p + s for p in plan for s in steps]
-        plan = _plans.store(layout, tuple(plan))
-    return plan
+        if name not in onto and block == 1:
+            values = list(itertools.chain.from_iterable(map(itertools.repeat, values, itertools.repeat(size))))
+        elif name not in onto:
+            runs = range(0, len(values), block)
+            values = list(itertools.chain.from_iterable(values[i:i + block] * size for i in runs))
+        block *= size
+    return values

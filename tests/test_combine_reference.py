@@ -356,6 +356,13 @@ def test_one_focal_over_part_of_its_frame_is_joined():
     assert check([partial])[2] == GENERAL
     check([partial, utility(rng, [X, Y])])
     check([utility(rng, [Y]), partial, utility(rng, [X])])
+    # Three members, as the frame has, but X = d in place of X = c.
+    odd = {make_config({"X": x}): float(i) for i, x in enumerate("abd")}
+    outside = Valuation(frozenset("X"), frames, UTILITY, (Focal(frozenset(odd), odd),))
+    assert check([outside])[2] == UTILITY
+    check([outside, utility(rng, [X, Y])])
+    check([utility(rng, [X, Y]), outside])
+    check([utility(rng, [Y]), outside, utility(rng, [X])])
 
 
 def test_a_general_label_over_the_whole_frame_is_summed():
@@ -378,6 +385,8 @@ def test_utility_only_pools_never_reach_the_join(monkeypatch):
     pool = [utility(rng, scope) for scope in UTILITY_SCOPES["overlapping"][:3]]
     part = {make_config({"X": "a"}): 1.0}
     partial = Valuation(frozenset("X"), {"X": X.frame}, UTILITY, (Focal(frozenset(part), part),))
+    odd = {make_config({"X": x}): 1.0 for x in "abd"}
+    outside = Valuation(frozenset("X"), {"X": X.frame}, UTILITY, (Focal(frozenset(odd), odd),))
     expected = check(pool)
 
     def refuse(parts, domains):
@@ -386,7 +395,7 @@ def test_utility_only_pools_never_reach_the_join(monkeypatch):
     monkeypatch.setattr(calculus, "_joint_supports", refuse)
     assert outcome(combine_all_traced, pool) == expected
     assert combine_all_traced(pool + [pool[0]._replace(kind=GENERAL)])[0].kind == UTILITY
-    for joined in (pool + [vacuous([X])], [partial] + pool):
+    for joined in (pool + [vacuous([X])], [partial] + pool, pool + [outside]):
         with pytest.raises(RuntimeError, match="joined"):
             combine_all_traced(joined)
 

@@ -15,13 +15,12 @@ from valnet import (
 )
 from valnet.model import (
     all_configs,
+    broadcast,
     config_judge,
     config_mapping,
     extender,
     iter_configs,
     listed_configs,
-    PlanCache,
-    position_plan,
     projector,
     value_reader,
     values_reader,
@@ -270,22 +269,11 @@ def test_listed_configs_judge_every_listing_of_the_frame_product(names):
 
 
 @given(st.lists(st.sampled_from(sorted(FRAMES) + ["W"]), unique=True), st.data())
-def test_position_plan_matches_the_projection_order(names, data):
-    # W's values are tuples; the plan reads only frame sizes.
+def test_broadcast_lists_each_configuration_at_its_projection(names, data):
+    # W's values are tuples; broadcast reads only frame sizes.
     frames = {**FRAMES, "W": ((0, "x"), (1, "y"))}
-    onto = data.draw(st.sets(st.sampled_from(names + ["B"])))
-    configs = all_configs(names, frames)
-    projected = all_configs(onto & set(names), frames)
-    expected = tuple(projected.index(project_config(x, onto & set(names))) for x in configs)
-    assert position_plan(frozenset(names), frozenset(onto), frames) == expected
-
-
-def test_plan_cache_holds_at_most_its_limit():
-    cache = PlanCache(10)
-    for layout, size in (("a", 6), ("b", 4)):
-        assert cache.store(layout, (0,) * size) == (0,) * size
-    assert sorted(cache) == ["a", "b"] and cache.held == 10
-    cache.store("c", (0,) * 3)  # would pass the limit: the cache empties first
-    assert sorted(cache) == ["c"] and cache.held == 3
-    assert cache.store("d", (0,) * 11) == (0,) * 11  # longer than the limit: not kept
-    assert not cache and cache.held == 0
+    onto = data.draw(st.sets(st.sampled_from(names))) if names else set()
+    projected = all_configs(onto, frames)
+    values = [object() for _ in projected]
+    expected = [values[projected.index(project_config(x, onto))] for x in all_configs(names, frames)]
+    assert broadcast(values, frozenset(names), frozenset(onto), frames) == expected
