@@ -377,7 +377,7 @@ def marginalize(v, variable, lam=None, policy=None):
 
     table = None
     if is_dec and policy is None:
-        choices = {x: _best_act(acts, variable.frame) for x, acts in scores.items()}
+        choices = {x: _best_act(acts, v.frames[name]) for x, acts in scores.items()}
         table = SolutionTable(name, tuple(sorted(rest)), choices, scores)
     return result, table
 

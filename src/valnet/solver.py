@@ -211,8 +211,6 @@ def oracle_solve(network, lam):
     joint = combine_all(_initial_pool(network))
     solutions = {}
     for name in order:
-        if name not in joint.domain:
-            continue
         joint, table = marginalize(joint, network.by_name[name], lam=lam)
         if table is not None:
             solutions[name] = table
@@ -310,8 +308,6 @@ def propagate_marginal(network, target):
     _check(network)
     if target not in network.by_name:
         raise NetworkError("unknown variable %r" % target)
-    if not any(target in p.domain for p in network.potentials):
-        raise NetworkError("no potential mentions %r" % target)
     # Condition A1 holds, so each variable heads exactly one potential.
     parents = {p.head.name: [q.name for q in p.parents] for p in network.potentials}
     ancestral, walk = {target}, [target]

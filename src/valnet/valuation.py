@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import chain
 
 from .errors import DomainMismatchError, KindError, MassError, NetworkError, SolverError, UtilityError, _refuse_past
-from .model import DIAMOND, Variable, all_configs, config_judge, config_mapping, extender, iter_configs, projector
+from .model import DIAMOND, config_judge, config_mapping, extender, iter_configs, projector
 
 BELIEF = "belief"
 UTILITY = "utility"
@@ -259,13 +259,14 @@ def is_conditional(v, head_name):
 class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tables ballooned label")):
     """A per-parent family of bpas over one random variable, and its balloon.
 
-    ``tables`` maps parent configurations (or tuples of parent values) to
-    (head-value subset, mass) pairs.  Each focal of the joint bpa ``ballooned``
-    picks one focal per parent configuration: its support is the union of the
-    picked slices, its mass their product, and ``canonical_focals`` merges
-    and orders the picks.  Each cell, a parent configuration
-    extended by a head value, is built once, and an entry's slice is its
-    subset's cells.  More than ``BALLOON_LIMIT`` picks raise ``SolverError`` before any pick.
+    ``tables`` maps each configuration of the parents, as ``make_config``
+    builds it, to (head-value subset, mass) pairs; a key of any other form is
+    refused.  Each focal of the joint bpa ``ballooned`` picks one focal per
+    parent configuration: its support is the union of the picked slices, its
+    mass their product, and ``canonical_focals`` merges and orders the picks.
+    Each cell, a parent configuration extended by a head value, is built
+    once, and an entry's slice is its subset's cells.  More than
+    ``BALLOON_LIMIT`` picks raise ``SolverError`` before any pick.
     """
 
     __slots__ = ()
@@ -281,12 +282,10 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
         frames = frames_of(parents + (head,))
         normalized = _parent_tables(names, frames, tables)
         parent_names = frozenset(names)
-        count = math.prod(len(p.frame) for p in parents)
-        # Counted first, so that a short table never builds the frame product.
-        enumerate_configs = all_configs if len(normalized) == count else iter_configs
-        parent_configs = enumerate_configs(parent_names, frames)
-        missing = next((c for c in parent_configs if c not in normalized), None)
-        if missing is not None:
+        # The keys are distinct parent configurations, so a table is complete
+        # iff it has one per configuration; a short one names its first gap.
+        if len(normalized) != math.prod(len(p.frame) for p in parents):
+            missing = next(c for c in iter_configs(parent_names, frames) if c not in normalized)
             raise DomainMismatchError(
                 "bpa %r has no entries for parent configuration %r" % (label, missing)
             )
@@ -308,7 +307,7 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
         extend = extender(parent_names, (head.name,))
         heads = dict(zip(head.frame, iter_configs((head.name,), frames)))
         per_parent = []
-        for c in parent_configs:
+        for c in iter_configs(parent_names, frames):
             cells = {r: extend(c, y) for r, y in heads.items()}
             per_parent.append([(tuple(map(cells.__getitem__, subset)), m) for subset, m in normalized[c]])
         picks = (zip(*choice) for choice in itertools.product(*per_parent))  # (slices, masses) each
@@ -337,26 +336,17 @@ class ConditionalPotential(namedtuple("ConditionalPotential", "head parents tabl
 
 
 def _parent_tables(names, frames, tables):
-    """Per-parent tables keyed by canonical parent configurations.
+    """The tables with each entry as a (frozenset, float) pair, every key judged a parent configuration.
 
-    A key is a canonical parent configuration, a tuple of parent values in
-    the order the parents are listed, or a bare value for one parent: the
-    first of these readings that ``config_judge`` accepts, by frame
-    membership, is the key's.
+    A key is a configuration of the parents as ``make_config`` builds it,
+    ``DIAMOND`` when there are none; ``config_judge`` judges it once.
     """
     judge = config_judge(names, frames)
     normalized = {}
     for key, entries in tables.items():
-        cfg = judge(key)
-        if cfg is None:
-            cfg = judge(key, listed=True)
-        if cfg is None:
-            cfg = judge((key,), listed=True)
-        if cfg is None:
+        if judge(key) is None:
             raise DomainMismatchError("parent key %r does not match parents %r" % (key, names))
-        if cfg in normalized:
-            raise DomainMismatchError("duplicate table for parent %r" % (cfg,))
-        normalized[cfg] = tuple((frozenset(s), float(m)) for s, m in entries)
+        normalized[key] = tuple((frozenset(s), float(m)) for s, m in entries)
     return normalized
 
 

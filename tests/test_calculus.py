@@ -4,8 +4,10 @@ import random
 import pytest
 
 from valnet import (
+    DomainMismatchError,
     SolverError,
     TotalConflictError,
+    ValnetError,
     combine,
     combine_all,
     decision,
@@ -179,6 +181,14 @@ class TestMixedCombination:
         with pytest.raises(SolverError, match=r"combined value is not finite at \(\('A', 'a'\),"):
             combine_all([v, cut])
 
+    def test_frames_that_disagree_are_refused(self):
+        with pytest.raises(DomainMismatchError, match="^inconsistent frames for 'R'$"):
+            combine_all([vacuous([R]), vacuous([random_var("R", ("re", "ye"))])])
+
+    def test_an_empty_pool_is_refused(self):
+        with pytest.raises(ValnetError, match="^cannot combine an empty collection of valuations$"):
+            combine_all([])
+
     def test_combination_limit(self, monkeypatch):
         monkeypatch.setattr(calculus, "COMBINE_LIMIT", 4)
         b1 = bpa_from_subsets(R, [({"re"}, 0.5), ({"re", "ye"}, 0.5)])
@@ -346,6 +356,16 @@ class TestMarginalizeDecision:
         forced = table._replace(choices={c: "~d" for c in table.choices})
         with pytest.raises(SolverError, match=r"no value at \(\('R', 're'\),\) for 'D' = '~d'"):
             marginalize(v, D, policy=forced)
+
+    def test_acts_come_from_the_valuation_frame(self):
+        # The acts were once looked up, and ties broken, in the frame of the
+        # variable passed in, not in the frame the valuation carries.
+        d_ab = decision("D", ("a", "b"))
+        v = make_utility([d_ab], {cfg(D="a"): 1.0, cfg(D="b"): 2.0})
+        out, table = marginalize(v, decision("D", ("a", "c")))
+        assert (table.choices, out.value_at(())) == ({(): "b"}, 2.0)
+        tied = make_utility([d_ab], {cfg(D="a"): 1.0, cfg(D="b"): 1.0})
+        assert marginalize(tied, decision("D", ("b", "a")))[1].choices == {(): "a"}
 
 
 class TestMarginalizeRandom:

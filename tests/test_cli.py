@@ -253,6 +253,12 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", str(WILDCATTER_PATH), "--lambdas", "0,2")
         assert (code, out, err) == (EXIT_PARSE, "", "error: weighting factor 2.0 is outside [0, 1]\n")
 
+    def test_invalid_network(self, capsys, tmp_path, wildcatter_text):
+        path = write(tmp_path, wildcatter_text.replace("prec R -> D", ""))
+        findings = run(capsys, "check", path)[2]
+        assert "error p2 " in findings
+        assert run(capsys, "sweep", path, "--lambdas", "0,1") == (EXIT_INVALID, "", findings)
+
 
 @pytest.mark.parametrize("argv, text, line", [
     (["solve", "--lambda", "-0"], None, "lambda 0"),
@@ -330,6 +336,13 @@ class TestMarginal:
         path = write(tmp_path, PROPAGATION)
         code, _, err = run(capsys, "marginal", path, "--target", "Z")
         assert code == EXIT_SOLVER
+
+    def test_invalid_network(self, capsys, tmp_path):
+        # S is declared, but the potential that heads it is gone.
+        path = write(tmp_path, PROPAGATION[:PROPAGATION.index("bpa link")])
+        findings = run(capsys, "check", path)[2]
+        assert findings.startswith("error b random variable 'S' appears in no potential\n")
+        assert run(capsys, "marginal", path, "--target", "R") == (EXIT_INVALID, "", findings)
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -564,6 +577,7 @@ PIECES = [
 ]
 
 
+@pytest.mark.deep
 @settings(deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(
     st.sampled_from([WILDCATTER_PATH.read_text(), CHAIN, PROPAGATION]),
@@ -578,6 +592,7 @@ PIECES = [
     ).map(lambda edits: _mutate_bytes(data, edits)),
 )))
 def test_every_command_ends_in_output_or_one_typed_error(tmp_path, data):
+    """Every subcommand and renderer, on any bytes, ends in output or one typed error line with its exit code."""
     # The deadline bounds each example: a size blow-up must be refused before its work.
     path = tmp_path / "problem.vn"
     path.write_bytes(data)

@@ -339,11 +339,16 @@ def test_utility_only_pools_add_over_the_joint_frame(shape, count):
     assert check(pool)[2] == UTILITY
 
 
+@pytest.mark.deep
 @given(
     st.lists(st.lists(st.sampled_from([X, Y, Z, W]), min_size=1, max_size=3, unique=True), min_size=1, max_size=4),
     st.randoms(use_true_random=False),
 )
 def test_utility_only_pools_match_the_reference(scopes, rng):
+    """A pool of 1-4 utilities sums over the joint frame as the reference joins it, bit for bit.
+
+    The scopes are random, and one frame is tuple-valued.
+    """
     check([utility(rng, scope) for scope in scopes])
 
 

@@ -52,7 +52,7 @@ def tied_network():
     d = decision("D", ("a", "b", "c", "d", "e"))
     x = random_var("X", ("x", "y"))
     u = make_utility([d, x], {make_config({"D": a, "X": b}): 1.0 for a in d.frame for b in x.frame})
-    p = conditional(x, [d], {(a,): [({"x", "y"}, 1.0)] for a in d.frame})
+    p = conditional(x, [d], {make_config({"D": a}): [({"x", "y"}, 1.0)] for a in d.frame})
     return Network([d, x], [u], [p], [("D", "X")])
 
 

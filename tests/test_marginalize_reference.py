@@ -201,9 +201,11 @@ def test_forced_decision_steps_match_reference(networks):
     assert forced > 50 and refused > 20
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.3, 1.0]))
 def test_fusion_pools_and_steps_match_the_references(seed, lam):
+    """Each fusion pool and elimination step of a generated network matches the kernel references."""
     net = random_network(random.Random(seed))
     pool = list(net.utilities) + [p.ballooned for p in net.potentials]
     for name in elimination_order(net):

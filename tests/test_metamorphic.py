@@ -19,6 +19,7 @@ compared, nor is the strategy of a solve that has one.
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,9 +139,11 @@ def hexed(result):
     }
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(SEEDS, LAMBDAS)
 def test_doubling_every_utility_doubles_every_value_bit_for_bit(seed, lam):
+    """On a generated network, doubling every utility doubles every value bit for bit and keeps every choice."""
     net = random_network(random.Random(seed), max_vars=6)
     want = solve(net, lam)
     got = solve(with_utilities(net, [scaled(u, 2.0) for u in net.utilities]), lam)
@@ -156,18 +159,22 @@ def test_doubling_every_utility_doubles_every_value_bit_for_bit(seed, lam):
     assert got.strategy == want.strategy
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(SEEDS, LAMBDAS)
 def test_renaming_variables_and_values_keeps_every_choice(seed, lam):
+    """Renaming variables and values keeps every choice, with values within ``REL``."""
     rng = random.Random(seed)
     net = random_network(rng, max_vars=6)
     renaming = Renaming(net, rng)
     assert_equivalent(solve(net, lam), solve(renaming.network(net), lam), renaming, largest_utility(net))
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(SEEDS)
 def test_renaming_variables_and_values_keeps_every_marginal(seed):
+    """Renaming variables and values keeps every marginal's supports, with masses within ``REL``."""
     rng = random.Random(seed)
     net = random_propagation(rng)
     renaming = Renaming(net, rng)
@@ -180,9 +187,11 @@ def test_renaming_variables_and_values_keeps_every_marginal(seed):
         assert all(math.isclose(f.mass, masses[f.support], rel_tol=REL) for f in got.focals)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(SEEDS, LAMBDAS)
 def test_splitting_each_utility_keeps_every_choice(seed, lam):
+    """Splitting each utility in two keeps every choice, with values within ``REL``."""
     net = random_network(random.Random(seed), max_vars=6)
     split = with_utilities(net, [w for u in net.utilities for w in (scaled(u, 0.25), scaled(u, 0.75))])
     assert_equivalent(solve(net, lam), solve(split, lam), Renaming(net), largest_utility(net))

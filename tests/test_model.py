@@ -212,6 +212,7 @@ def _case(domain, onto, x, **extra):
 WILD = cfg(T="t", R="re")
 
 
+@pytest.mark.deep
 @given(split_configs(), st.randoms(use_true_random=False))
 # The extender once took listed values; these were its checks.
 @example(_case("TR", "DRT", WILD, D="d"), None)
@@ -223,6 +224,7 @@ WILD = cfg(T="t", R="re")
 @example(_case("AB", "C", cfg(A="a", B="b"), C="c"), None)
 @example(_case("BD", "ABE", cfg(B="b", D="d"), A="a", C="c", E="e"), None)
 def test_projection_and_extension_match_the_references(case, rng):
+    """``valnet.model``'s projection, extension and value reader match the tests' pair-wise references."""
     domain, extra, onto, x, y = case
     joint = concat_configs(x, y)
     assert projector(domain, onto)(x) == project_config(x, onto & domain)
@@ -268,8 +270,10 @@ def test_listed_configs_judge_every_listing_of_the_frame_product(names):
     assert listed == {v: judge(v, listed=True) for v in itertools.product(*(FRAMES[n] for n in names))}
 
 
+@pytest.mark.deep
 @given(st.lists(st.sampled_from(sorted(FRAMES) + ["W"]), unique=True), st.data())
 def test_broadcast_lists_each_configuration_at_its_projection(names, data):
+    """Each configuration of a domain gets the value of its projection among the sub-domain's configurations."""
     # W's values are tuples; broadcast reads only frame sizes.
     frames = {**FRAMES, "W": ((0, "x"), (1, "y"))}
     onto = data.draw(st.sets(st.sampled_from(names))) if names else set()

@@ -32,11 +32,11 @@ R = random_var("R", ("re", "ye", "gr", "nr"))
 D = decision("D", ("d", "~d"))
 O = random_var("O", ("dr", "we", "so"))
 PRIOR_R = conditional(R, [], {(): [(set(R.frame), 1.0)]})
-R_GIVEN_T = conditional(R, [T], {t: [(set(R.frame), 1.0)] for t in T.frame})
+R_GIVEN_T = conditional(R, [T], {make_config({"T": t}): [(set(R.frame), 1.0)] for t in T.frame})
 # Frames that differ from a declaration: D {a, b} and T {t, u} are declared.
 D_AB, T_TU = decision("D", ("a", "b")), random_var("T", ("t", "u"))
 U_ABC = make_utility([decision("D", "abc")], {(("D", v),): 1.0 for v in "abc"})
-R_GIVEN_T_T = conditional(R, [random_var("T", ("t",))], {"t": [(set(R.frame), 1.0)]})
+R_GIVEN_T_T = conditional(R, [random_var("T", ("t",))], {make_config({"T": "t"}): [(set(R.frame), 1.0)]})
 
 
 def cfg(**values):
@@ -420,8 +420,13 @@ def precedence_networks(draw):
     return Network(variables, utilities, potentials, arcs)
 
 
+@pytest.mark.deep
 @given(precedence_networks())
 def test_precedence_matches_the_pair_set_reference(net):
+    """Bitset precedence gives the pair-set reference's findings, order and ``before``.
+
+    The graphs are random and may have cycles.
+    """
     assert validate(net).lines() == [f.line() for f in reference_findings(net)]
     try:
         expected = reference_order(net)

@@ -68,9 +68,11 @@ def test_generated_networks_round_trip():
         assert parse_problem(serialize(net)).network == net
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.integers(0, 2 ** 32), st.none() | st.floats(0.0, 1.0))
 def test_serialize_then_parse_is_the_identity(seed, lam):
+    """A generated network, serialized and parsed again, is the same network with the same lambda."""
     net = random_network(random.Random(seed), max_vars=6)
     again = parse_problem(serialize(net, lam))
     assert again.network == net
@@ -92,6 +94,7 @@ def _mutate(text, edits):
     return text
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.one_of(
     st.lists(st.sampled_from(GRAMMAR_TOKENS)).map(" ".join),
@@ -102,6 +105,7 @@ def _mutate(text, edits):
     ).map(lambda edits: _mutate(WILDCATTER_TEXT, edits)),
 ))
 def test_parser_is_total(text):
+    """Every parser input ends in a parsed problem, ``ProblemFormatError`` or the ballooning ``SolverError``."""
     try:
         assert isinstance(parse_problem(text), ParsedProblem)
     except ProblemFormatError:
@@ -152,6 +156,7 @@ SPLITTER_PIECES = LINE_BREAKS + [
 ]
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.one_of(
     st.lists(st.sampled_from(SPLITTER_PIECES), max_size=40).map("".join),
@@ -162,6 +167,7 @@ SPLITTER_PIECES = LINE_BREAKS + [
     ).map(lambda edits: _mutate(WILDCATTER_TEXT, edits)),
 ))
 def test_statements_match_the_line_by_line_reference(text):
+    """The same statements at the same lines, or the same error at the same line, as the reference splitter."""
     # The same statements at the same lines, or the same error at the same line.
     assert _split_or_error(problemfile._statements, text) == _split_or_error(reference_statements, text)
 
@@ -233,7 +239,10 @@ DECLARED = "random A { a, b }\ndecision D { a, b }\nrandom R { x, y, z }\n"
         "bpa m on {R | A, A} { a a : {x} = 1; b b : {y} = 1 }",
         lambda: conditional(R, [A, A], {("a", "a"): [({"x"}, 1)], ("b", "b"): [({"y"}, 1)]}, "m"),
     ),
-    ("bpa m on {R | A} { b : {x} = 1 }", lambda: conditional(R, [A], {"b": [({"x"}, 1)]}, "m")),
+    (
+        "bpa m on {R | A} { b : {x} = 1 }",
+        lambda: conditional(R, [A], {make_config({"A": "b"}): [({"x"}, 1)]}, "m"),
+    ),
     ("bpa m on {R} { {} = 1 }", lambda: conditional(R, [], {(): [((), 1)]}, "m")),
     (
         "bpa m on {R} { {x} = -0.5; {y} = 1.5 }",
@@ -241,7 +250,9 @@ DECLARED = "random A { a, b }\ndecision D { a, b }\nrandom R { x, y, z }\n"
     ),
     (
         "bpa m on {R | A} { a : {x} = 0.5; b : {y} = 1 }",
-        lambda: conditional(R, [A], {"a": [({"x"}, 0.5)], "b": [({"y"}, 1)]}, "m"),
+        lambda: conditional(
+            R, [A], {make_config({"A": "a"}): [({"x"}, 0.5)], make_config({"A": "b"}): [({"y"}, 1)]}, "m"
+        ),
     ),
     ("lambda = 1.5", lambda: check_lambda(1.5)),
     ("utility u on {} { }", lambda: make_utility([], {}, "u")),
@@ -370,6 +381,13 @@ class TestErrors:
         )
         assert err.line == 3
         assert str(err) == "line 3: " + message
+
+    @pytest.mark.parametrize("statement, message", [
+        ("bpa m on {R} { {x, z} = 1 }", "'z' is not a value of variable 'R'"),
+        ("lambda 0.5", "malformed lambda statement"),
+    ], ids=["bpa-head-value", "lambda-without-equals"])
+    def test_a_bad_statement_names_its_line(self, statement, message):
+        assert str(parse_error("random R { x, y }\n%s\n" % statement)) == "line 2: " + message
 
     def test_first_bad_utility_row_wins(self):
         err = parse_error(

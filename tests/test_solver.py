@@ -265,6 +265,23 @@ class TestIntervals:
         with pytest.raises(Exception):
             expected_interval(wildcatter.network)
 
+    @pytest.mark.parametrize("utility_scopes, parent_names, message", [
+        ([["D", "R"], ["D"]], ["D"], "canonical problems have exactly one utility and one potential"),
+        ([["D"]], ["D"], "the utility valuation must bear on both variables"),
+        ([["D", "R"]], [], "the potential must be conditional on the decision variable"),
+    ], ids=["two-utilities", "utility-scope", "potential-parents"])
+    def test_each_canonical_shape_refusal(self, utility_scopes, parent_names, message):
+        d, r = decision("D", ("a", "b")), random_var("R", ("x", "y"))
+        frames, by_name = {"D": d.frame, "R": r.frame}, {"D": d, "R": r}
+        utilities = [
+            make_utility([by_name[n] for n in scope], dict.fromkeys(all_configs(scope, frames), 1.0))
+            for scope in utility_scopes
+        ]
+        tables = dict.fromkeys(all_configs(parent_names, frames), [({"x", "y"}, 1.0)])
+        potential = conditional(r, [by_name[n] for n in parent_names], tables)
+        with pytest.raises(NetworkError, match="^%s$" % message):
+            expected_interval(Network([d, r], utilities, [potential], [("D", "R")]))
+
 
 class TestSweep:
     def test_wildcatter_grid(self, wildcatter):
@@ -318,7 +335,7 @@ class TestPropagation:
         a, b, c = (random_var(n, ("x", "y")) for n in "ABC")
         root = conditional(a, [], {(): [({"x"}, 0.25), ({"x", "y"}, 0.75)]})
         links = [
-            conditional(child, [parent], {("x",): [({"x"}, 1.0)], ("y",): [({"y"}, 1.0)]})
+            conditional(child, [parent], {make_config({parent.name: v}): [({v}, 1.0)] for v in "xy"})
             for parent, child in ((a, b), (b, c))
         ]
         net = Network([a, b, c], (), [root] + links, [("A", "B"), ("B", "C")])
@@ -335,7 +352,9 @@ class TestPropagation:
     def test_barren_potential_failing_d_is_refused(self):
         a, b = random_var("A", ("x", "y")), random_var("B", ("u", "v"))
         root = conditional(a, [], {(): [({"x", "y"}, 1.0)]})
-        barren = conditional(b, [a], {("x",): [({"u"}, 1.0)], ("y",): [({"u", "v"}, 1.0)]})
+        barren = conditional(
+            b, [a], {make_config({"A": "x"}): [({"u"}, 1.0)], make_config({"A": "y"}): [({"u", "v"}, 1.0)]}
+        )
         # A point mass on the joint frame does not marginalize to vacuous on A,
         # and a potential's balloon is derived from its tables, never given.
         point = make_bpa([a, b], [(frozenset([make_config({"A": "x", "B": "u"})]), 1.0)])
@@ -378,9 +397,14 @@ def assert_conflict_free(steps):
         assert len(sources) == math.prod(len(step.inputs[i].focals) for i in at), step.variable
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_no_fusion_step_meets_conflict(seed):
+    """Each choice of one focal per belief input of a fusion step has a nonempty joint.
+
+    The steps are those of solve and propagate_marginal on generated networks.
+    """
     rng = random.Random(seed)
     net, chain = random_network(rng), random_propagation(rng)
     assert_conflict_free(fusion_steps(lambda: solve(net, 0.5)))

@@ -38,6 +38,7 @@ T = decision("T", ("t", "~t"))
 R = random_var("R", ("re", "ye", "gr", "nr"))
 D = decision("D", ("d", "~d"))
 O = random_var("O", ("dr", "we", "so"))
+A_PAIRS = random_var("A", [(1, 2), (3, 4)])  # a frame of tuple values
 
 
 def focal(**values):
@@ -106,7 +107,7 @@ class TestMakeBpa:
         with pytest.raises(MassError, match="non-finite mass"):
             make_bpa([T], [(focal(T="t"), bad), (focal(T="~t"), 0.0)])
         with pytest.raises(MassError, match="non-finite mass"):
-            conditional(R, [T], {"t": [({"re"}, bad)], "~t": [({"nr"}, 1.0)]})
+            conditional(R, [T], {**RESULT_TABLES, make_config({"T": "t"}): [({"re"}, bad)]})
 
     def test_duplicate_focals_merge(self):
         b = make_bpa([T], [(focal(T="t"), 0.4), (focal(T="t"), 0.3), (focal(T="~t"), 0.3)])
@@ -223,6 +224,12 @@ class TestMakeUtility:
         with pytest.raises(DomainMismatchError):
             make_utility([T], {make_config({"T": "t"}): 1.0})
 
+    def test_a_row_outside_the_frame(self):
+        table = {make_config({"T": "t"}): 1.0, make_config({"T": "zz"}): 0.0}
+        message = "utility 'u' has a row (('T', 'zz'),) outside its frame"
+        with pytest.raises(DomainMismatchError, match="^%s$" % re.escape(message)):
+            make_utility([T], table, "u")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value(self, bad):
         table = {make_config({"T": "t"}): bad, make_config({"T": "~t"}): 0.0}
@@ -298,19 +305,23 @@ class TestBalloon:
         with pytest.raises(DomainMismatchError):
             conditional(R, [T], {make_config({"T": "t"}): [({"re"}, 1.0)]})
 
-    def test_parent_value_keys_match_configuration_keys(self):
-        by_values = {("t",): RESULT_TABLES[make_config({"T": "t"})], "~t": [({"nr"}, 1.0)]}
-        assert conditional(R, [T], by_values).ballooned == conditional(R, [T], RESULT_TABLES).ballooned
-        assert conditional(R, [T], by_values).tables == conditional(R, [T], RESULT_TABLES).tables
+    @pytest.mark.parametrize("parent, key", [
+        (T, "t"), (T, ("t",)), (A_PAIRS, (1, 2)), (A_PAIRS, ((1, 2),)),
+    ], ids=["bare", "listed", "tuple-bare", "tuple-listed"])
+    def test_parent_value_keys_are_refused(self, parent, key):
+        # A key was once also read as a parent's bare value or its parents'
+        # values in parent order, whichever reading the frames accepted first.
+        tables = {make_config({parent.name: v}): [({"dr"}, 1.0)] for v in parent.frame[1:]}
+        tables[key] = [({"we"}, 1.0)]
+        message = r"^parent key %s does not match parents \['%s'\]$" % (re.escape(repr(key)), parent.name)
+        with pytest.raises(DomainMismatchError, match=message):
+            conditional(O, [parent], tables)
 
-    @pytest.mark.parametrize("key", [((1, 2),), (1, 2), make_config({"A": (1, 2)})],
-                             ids=["listed", "bare", "configuration"])
-    def test_tuple_valued_parent_frames_take_every_key_form(self, key):
+    def test_tuple_valued_parent_frames_take_configuration_keys(self):
         # Any key whose first item was a tuple was once read as a
-        # configuration, so neither value form could key a tuple value.
-        A = random_var("A", [(1, 2), (3, 4)])
-        tables = {key: [({"dr"}, 1.0)], ((3, 4),): [({"we", "so"}, 1.0)]}
-        assert conditional(O, [A], tables).tables == {
+        # configuration, so no other key form could key a tuple value.
+        tables = {make_config({"A": (1, 2)}): [({"dr"}, 1.0)], make_config({"A": (3, 4)}): [({"we", "so"}, 1.0)]}
+        assert conditional(O, [A_PAIRS], tables).tables == {
             make_config({"A": (1, 2)}): ((frozenset({"dr"}), 1.0),),
             make_config({"A": (3, 4)}): ((frozenset({"we", "so"}), 1.0),),
         }
@@ -318,15 +329,21 @@ class TestBalloon:
     @pytest.mark.parametrize("key", ["zz", ("zz",), make_config({"T": "zz"})],
                              ids=["bare", "listed", "configuration"])
     def test_parent_key_outside_the_frame(self, key):
-        tables = {key: [({"dr"}, 1.0)], "t": [({"dr"}, 1.0)], "~t": [({"dr"}, 1.0)]}
+        tables = {key: [({"dr"}, 1.0)], make_config({"T": "t"}): [({"dr"}, 1.0)]}
         with pytest.raises(DomainMismatchError, match="parent key .* does not match parents"):
             conditional(O, [T], tables)
 
     @pytest.mark.parametrize("key", [("t", "re"), make_config({"R": "re"})])
     def test_parent_key_for_other_variables(self, key):
-        tables = {key: [({"dr"}, 1.0)], ("~t",): [({"dr"}, 1.0)]}
+        tables = {key: [({"dr"}, 1.0)], make_config({"T": "~t"}): [({"dr"}, 1.0)]}
         with pytest.raises(DomainMismatchError, match="does not match parents"):
             conditional(O, [T], tables)
+
+    def test_focal_outside_the_head_frame(self):
+        tables = {**RESULT_TABLES, make_config({"T": "t"}): [({"re", "zz"}, 1.0)]}
+        message = "bpa 'b', parent {'T': 't'}: focal ['re', 'zz'] is not a subset of the frame of 'R'"
+        with pytest.raises(MassError, match="^%s$" % re.escape(message)):
+            conditional(R, [T], tables, label="b")
 
     @pytest.mark.parametrize("parents", [[T, T], [T, R]], ids=["repeated", "head"])
     def test_bad_parent_list(self, parents):
@@ -397,9 +414,11 @@ def balloon_tables(draw):
     return head, parents, tables
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(balloon_tables())
 def test_balloon_matches_the_reference_construction(case):
+    """Ballooning matches its slow reference, focal for focal and bit for bit."""
     head, parents, tables = case
     got = conditional(head, parents, tables).ballooned.focals
     want = balloon_reference(head, parents, tables)
@@ -439,7 +458,7 @@ class TestIsConditional:
             cuts = sorted(rng.sample(range(1, 8), len(supports) - 1))
             return [(s, (b - a) / 8) for s, a, b in zip(supports, [0] + cuts, cuts + [8])]
 
-        joint = valuation.all_configs(["R", "O"], {"R": R.frame, "O": O.frame})
+        joint = all_configs(["R", "O"], {"R": R.frame, "O": O.frame})
         rng = random.Random(29)
         verdicts = []
         for _ in range(300):
@@ -448,7 +467,8 @@ class TestIsConditional:
                 v, head = make_bpa([R, O], exact(rng, supports)), rng.choice("RO")
             else:
                 tables = {
-                    (r,): exact(rng, [rng.sample(O.frame, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))])
+                    make_config({"R": r}):
+                        exact(rng, [rng.sample(O.frame, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))])
                     for r in R.frame
                 }
                 v, head = conditional(O, [R], tables).ballooned, "O"
@@ -558,9 +578,14 @@ def belief_items(draw):
     return items
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(belief_items())
 def test_belief_focals_match_the_reference_builder(items):
+    """``canonical_focals`` matches the tests' builder, bit for bit.
+
+    The items repeat supports and hold zero, subnormal, cancelling and non-finite masses.
+    """
     try:
         want = reference_belief_focals(items, "combined value")
     except SolverError as e:
@@ -603,12 +628,13 @@ def test_valuation_equality_ignores_the_label():
 
 
 def test_conditional_potential_equality_ignores_the_label():
-    p = conditional(O, [R], {(r,): [({"dr", "we"}, 0.5), ({"so"}, 0.5)] for r in R.frame}, label="p")
+    tables = {make_config({"R": r}): [({"dr", "we"}, 0.5), ({"so"}, 0.5)] for r in R.frame}
+    p = conditional(O, [R], tables, label="p")
     renamed = p._replace(label="q")
     assert p == renamed
     assert not p != renamed
     assert p != tuple(p)
-    assert p != p._replace(tables={(r,): [({"so"}, 1.0)] for r in R.frame})
+    assert p != p._replace(tables={make_config({"R": r}): [({"so"}, 1.0)] for r in R.frame})
 
 
 def test_potential_copies_and_pickles_balloon_an_equal_record():
@@ -624,7 +650,7 @@ def test_potential_copies_and_pickles_balloon_an_equal_record():
 
 def test_replaced_tables_are_ballooned_again():
     p = conditional(O, [R], OIL_TABLES)
-    tables = {(r,): [({"dr", "we"}, 0.25), ({"so"}, 0.75)] for r in R.frame}
+    tables = {make_config({"R": r}): [({"dr", "we"}, 0.25), ({"so"}, 0.75)] for r in R.frame}
     assert p._replace(tables=tables).ballooned == conditional(p.head, p.parents, tables).ballooned
     assert p._replace(tables=tables).ballooned != p.ballooned
 
