@@ -3,9 +3,10 @@
 Combination hash-joins one focal per input on their shared variables: belief
 with belief follows Dempster's rule (product, normalized by one minus the
 conflict), non-belief with non-belief adds values, and a mixed pair multiplies
-without normalization.  A pool of non-beliefs that each have one focal
-covering their whole frame, as every utility has, skips the join: their
-values, each broadcast over the joint frame, add there.
+without normalization.  Non-beliefs that each have one focal covering
+their whole frame, as every utility has, skip the join: their values, each
+broadcast over their joint frame, add there, and with beliefs in the pool
+that sum is spread over each joint of the beliefs alone.
 Marginalization removes one variable at a time: a maximum for decision
 variables and a lambda-weighted blend of maximum and minimum for random
 variables; belief valuations reduce to plain mass summation over projected
@@ -21,7 +22,7 @@ from collections import namedtuple
 
 from .errors import DomainMismatchError, KindError, SolverError, TotalConflictError, ValnetError, _refuse_past
 from .model import DIAMOND, RANDOM, Variable, broadcast, extender, iter_configs, projector, value_reader
-from .valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, _focal_order, canonical_focals
+from .valuation import BELIEF, GENERAL, UTILITY, Valuation, _focal_order, _keyed_focal, canonical_focals
 
 CONFLICT_TOL = 1e-12
 # Most combinations of one focal per input that ``combine_all_traced`` joins.
@@ -118,15 +119,15 @@ def _frame_sum(others, union, frames):
     order; the union's frame is enumerated once, in that order, to key the
     result in the order the support iterates.  Each level of the join this
     replaces, the frame of the union of the first inputs, is held to
-    ``JOIN_LIMIT`` before the union's frame is built.  None when a support
-    of the right size holds a configuration outside its frame: the join
-    combines such a pool.
+    ``JOIN_LIMIT`` before the union's frame is built.  The values are not
+    yet judged finite.  None when a support of the right size holds a
+    configuration outside its frame: the join combines such a pool.
     """
     if len(others) == 1:
         (focal,) = others[0].focals
         read = map(focal.values.__getitem__, focal.support)
         values = dict(zip(focal.support, map(operator.add, read, itertools.repeat(0.0))))
-        return Focal(focal.support, _finite(values, "combined value"))
+        return _keyed_focal(focal.support, values)
     columns, configs = [], None
     for v in others:
         own = iter_configs(v.domain, frames)
@@ -149,7 +150,51 @@ def _frame_sum(others, union, frames):
     support = next((v.focals[0].support for v in others if v.domain == union), None) or frozenset(configs)
     values = dict.fromkeys(support)  # keyed in the order the support iterates
     values.update(zip(configs, totals))
-    return Focal(support, _finite(values, "combined value"))
+    return _keyed_focal(support, values)
+
+
+def _spread(others, belief_joints, weights, belief_domain, frames):
+    """The combined focals of a mixed pool whose non-beliefs each have one focal covering their whole frame.
+
+    Their values add to one table ``T`` over the union of their domains:
+    ``_frame_sum`` adds two or more, and a lone one is read as it is, since
+    ``(0.0 + t) * mass + 0.0`` and ``t * mass + 0.0`` are the same float.
+    Each belief joint is extended by every configuration, in
+    ``iter_configs`` order, of the table's variables outside the beliefs;
+    its value at ``z`` is ``T(z) * mass + 0.0``, with the combination's mass
+    from ``weights``, the float the join computes.  The size of the join
+    level this replaces is held to ``JOIN_LIMIT`` before any extension is
+    built.
+
+    Returns [(combination, joint, values)] in the order of the belief
+    joints, or None where the join combines the pool instead: a lone
+    input's support of the right size holds a configuration outside its
+    frame, ``_frame_sum`` gives None, or a belief configuration lies outside
+    the table's frame.
+    """
+    domain = frozenset().union(*(v.domain for v in others))
+    if len(others) > 1:
+        focal = _frame_sum(others, domain, frames)
+    else:
+        (focal,) = others[0].focals
+        if not focal.support.issuperset(iter_configs(domain, frames)):
+            return None
+    if focal is None:
+        return None
+    extra = domain - belief_domain
+    extras = list(iter_configs(extra, frames))
+    size = len(extras) * sum(map(len, belief_joints.values()))
+    _refuse_past(JOIN_LIMIT, size, "combining would build {0} joint configurations")
+    extend, at, table = extender(belief_domain, extra), projector(belief_domain | domain, domain), focal.values
+    zeros, spread = (0,) * len(others), []
+    try:
+        for combo, members in belief_joints.items():
+            mass = weights[combo]
+            joint = frozenset([extend(z, e) for z in members for e in extras] if extra else members)
+            spread.append((zeros + combo, joint, {z: table[at(z)] * mass + 0.0 for z in joint}))
+    except KeyError:
+        return None
+    return spread
 
 
 def combine(vi, vj):
@@ -166,21 +211,29 @@ def combine_all(valuations):
 def combine_all_traced(valuations):
     """N-ary combination: values of non-beliefs add, belief masses multiply.
 
-    A pool without beliefs whose every input has one focal covering its
-    whole frame, as every utility has, is one focal over the union's frame:
-    ``_frame_sum`` adds the values there, with no join.  Otherwise joint
-    supports are hash joins on the shared variables.  The joint of each
-    combination of belief focals is built once: the empty ones make up the
-    conflict, by which the belief part is renormalized, and the non-belief
-    focals are joined with the others.  That normalization matters only to
-    direct library callers: on a valid network no fusion step of ``solve``
-    or ``propagate_marginal`` meets conflict.  Each distinct joint support is
-    one frozenset.  Each combination gives one values dict over its joint, or
-    one mass in a belief-only pool; only a joint that several combinations
-    reach sums them by an exact fsum.  A belief-only pool's joints and masses
-    become focals through ``canonical_focals``.  Non-beliefs are combined
-    before beliefs, and each belief focal's mass is read once.  More than
-    ``COMBINE_LIMIT`` focal combinations raise ``SolverError`` before any join.
+    A pool whose every non-belief input has one focal covering its whole
+    frame, as every utility has, sums those inputs once, with no join:
+    without beliefs the sum is the one focal, over the union's frame
+    (``_frame_sum``), and with beliefs ``_spread`` spreads it over each joint
+    of the beliefs alone.  Other pools are hash joins on the shared
+    variables.  The joint of each combination of belief focals is built
+    once: the empty ones make up the conflict, by which the belief part is
+    renormalized, and the non-belief focals are joined with the others.
+    That normalization matters only to direct library callers: on a valid
+    network no fusion step of ``solve`` or ``propagate_marginal`` meets
+    conflict.  Nor does a fusion step of ``solve`` meet a non-belief input
+    other than one focal covering its frame, so it never joins a table; and
+    each focal the kernel builds has its values keyed by exactly its
+    support, so ``_keyed_focal`` builds it without judging it again
+    (``test_fusion_steps_sum_tables_and_key_focals_by_support`` in
+    ``tests/test_combine_reference.py`` checks both).  Each distinct joint
+    support is one frozenset.  Each combination gives one values dict over
+    its joint, or one mass in a belief-only pool; only a joint that several
+    combinations reach sums them by an exact fsum.  A belief-only pool's
+    joints and masses become focals through ``canonical_focals``.
+    Non-beliefs are combined before beliefs, and each belief focal's mass is
+    read once.  More than ``COMBINE_LIMIT`` focal combinations raise
+    ``SolverError`` before any join.
 
     Returns (valuation, provenance) where provenance is a list parallel to the
     result focals; each entry lists tuples of focal indices, one per input
@@ -199,11 +252,13 @@ def combine_all_traced(valuations):
     frames = _merge_frames(inputs)
     combinations = math.prod(len(v.focals) for v in inputs)
     _refuse_past(COMBINE_LIMIT, combinations, "combining would join {0} focal combinations")
-    if not beliefs and all(
+    tables = bool(others) and all(
         len(v.focals) == 1 and len(v.focals[0].support) == v.full_frame_size() > 0 for v in others
-    ):
+    )
+    if tables and not beliefs:
         focal = _frame_sum(others, union, frames)
         if focal is not None:
+            _finite(focal.values, "combined value")
             return Valuation(union, frames, UTILITY, (focal,)), [[(0,) * len(others)]]
 
     parts = [{(i,): f.support for i, f in enumerate(v.focals)} for v in inputs]
@@ -221,31 +276,42 @@ def combine_all_traced(valuations):
     if beliefs and norm <= CONFLICT_TOL:
         raise TotalConflictError("belief functions are in total conflict")
 
-    joints = belief_joints
-    if others:
-        parts, domains = parts[:n_others], domains[:n_others]
-        if beliefs:  # the diamond alone would only copy every configuration
-            parts.append(belief_joints)
-            domains.append(frozenset().union(*(v.domain for v in beliefs)))
-        joints = _joint_supports(parts, domains)
-    projectors = [projector(union, v.domain) for v in others]
+    belief_domain = frozenset().union(*domains[n_others:])
+    spread, in_order = None, False
+    if tables and beliefs:
+        weights = {combo: math.prod(map(list.__getitem__, masses, combo)) / norm for combo in belief_joints}
+        spread = _spread(others, belief_joints, weights, belief_domain, frames)
+        # One belief's own supports, as the spread's joints, come in focal order already.
+        in_order = spread is not None and len(beliefs) == 1 and union == belief_domain
     accum, provenance = {}, {}
-    for combo, members in joints.items():
-        mass = math.prod(map(list.__getitem__, masses, combo[n_others:])) / norm
-        joint = frozenset(members)
-        if others:
-            adds = [(p, v.focals[i].values) for p, v, i in zip(projectors, others, combo)]
-            values = {}
-            for z in joint:
-                total = 0.0
-                for project, vals in adds:
-                    total += vals[project(z)]
-                # fsum([x]) is x + 0.0, the value of a joint one combination reaches.
-                values[z] = total * mass + 0.0
-        else:
-            values = mass
+    for combo, joint, values in spread or ():
         accum.setdefault(joint, []).append(values)
         provenance.setdefault(joint, []).append(tuple(map(combo.__getitem__, restore)))
+    if spread is None:
+        joints = belief_joints
+        if others:
+            parts, domains = parts[:n_others], domains[:n_others]
+            if beliefs:  # the diamond alone would only copy every configuration
+                parts.append(belief_joints)
+                domains.append(belief_domain)
+            joints = _joint_supports(parts, domains)
+        projectors = [projector(union, v.domain) for v in others]
+        for combo, members in joints.items():
+            mass = math.prod(map(list.__getitem__, masses, combo[n_others:])) / norm
+            joint = frozenset(members)
+            if others:
+                adds = [(p, v.focals[i].values) for p, v, i in zip(projectors, others, combo)]
+                values = {}
+                for z in joint:
+                    total = 0.0
+                    for project, vals in adds:
+                        total += vals[project(z)]
+                    # fsum([x]) is x + 0.0, the value of a joint one combination reaches.
+                    values[z] = total * mass + 0.0
+            else:
+                values = mass
+            accum.setdefault(joint, []).append(values)
+            provenance.setdefault(joint, []).append(tuple(map(combo.__getitem__, restore)))
 
     if not accum:
         raise TotalConflictError("no joint focal has a nonempty support")
@@ -255,7 +321,7 @@ def combine_all_traced(valuations):
         for joint, found in accum.items():
             values = found[0] if len(found) == 1 else {z: _fsum([d[z] for d in found]) for z in found[0]}
             merged[joint] = _finite(values, "combined value")
-        focals = tuple(Focal(joint, merged[joint]) for joint in _focal_order(merged))
+        focals = tuple(_keyed_focal(joint, merged[joint]) for joint in (merged if in_order else _focal_order(merged)))
         kind = _nonbelief_kind(union, frames, focals)
     else:
         items = [(joint, found[0] if len(found) == 1 else _fsum(found)) for joint, found in accum.items()]
@@ -371,7 +437,7 @@ def marginalize(v, variable, lam=None, policy=None):
                     contrib = lam * max(ext) + (1.0 - lam) * min(ext)
                 total += contrib
             values[x] = total
-        focals.append(Focal(support, _finite(values, "marginal value")))
+        focals.append(_keyed_focal(support, _finite(values, "marginal value")))
 
     result = Valuation(rest, frames, _nonbelief_kind(rest, frames, focals), tuple(focals))
 

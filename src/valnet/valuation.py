@@ -31,7 +31,13 @@ BALLOON_LIMIT = 10_000
 
 
 class Focal(namedtuple("Focal", "support values")):
-    """An extended focal element of a utility or general valuation: a support set and one value per member."""
+    """An extended focal element of a utility or general valuation: a support set and one value per member.
+
+    ``Focal(...)`` judges every focal that comes from a caller: its values
+    must cover exactly the support.  The kernel builds the focals whose
+    values it keyed by their own support through ``_keyed_focal``, which
+    does not hash every configuration again to judge them.
+    """
 
     __slots__ = ()
 
@@ -42,6 +48,11 @@ class Focal(namedtuple("Focal", "support values")):
 
     # ``_replace`` builds through ``_make``, which would skip ``__new__``.
     _make = classmethod(lambda cls, it: cls(*it))
+
+
+def _keyed_focal(support, values):
+    """The ``Focal`` of values the kernel keyed by ``support`` itself, not judged again."""
+    return tuple.__new__(Focal, (support, values))
 
 
 class BeliefFocal(namedtuple("BeliefFocal", "support mass")):
@@ -199,7 +210,7 @@ def make_utility(variables, table, label=""):
     if not all(map(math.isfinite, values.values())):
         bad = sorted(x for x, v in values.items() if not math.isfinite(v))
         raise UtilityError("utility values are not finite at %r" % (bad,))
-    return Valuation(domain, frames, UTILITY, (Focal(support, values),), label)
+    return Valuation(domain, frames, UTILITY, (_keyed_focal(support, values),), label)
 
 
 def _coverage_error(label, frames, table, size):

@@ -16,7 +16,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valnet import calculus
@@ -30,6 +30,7 @@ from valnet import (
     make_utility,
     marginalize,
     random_var,
+    solve,
     vacuous,
 )
 from valnet.calculus import (
@@ -42,7 +43,7 @@ from valnet.calculus import (
 )
 from valnet.model import all_configs
 from valnet.solver import fuse
-from valnet.valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation
+from valnet.valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation, canonical_focals
 
 from conftest import concat_configs, project_config
 from netgen import random_network
@@ -415,3 +416,189 @@ def test_utility_only_pools_are_held_to_each_join_level(monkeypatch):
     monkeypatch.setattr(calculus, "JOIN_LIMIT", 10)
     with pytest.raises(SolverError, match="^combining would build 12 joint configurations, more than the limit of 10$"):
         combine_all_traced(pool)
+
+
+def belief(rng, variables):
+    """A bpa over ``variables`` with 1-3 focals of random members and masses."""
+    configs = all_configs([v.name for v in variables], {v.name: v.frame for v in variables})
+    weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    return make_bpa(variables, [
+        (rng.sample(configs, rng.randint(1, len(configs))), w / sum(weights)) for w in weights
+    ])
+
+
+# (table scopes, belief scopes): tables inside one belief, reaching outside
+# the beliefs, over the beliefs' variables only in part, and two beliefs.
+MIXED_SCOPES = {
+    "inside": ([[X]], [[X, Y]]),
+    "equal": ([[X, Y], [Y]], [[X, Y]]),
+    "outside": ([[Z]], [[X, Y]]),
+    "overlapping": ([[X, Z], [W, Y]], [[X, Y]]),
+    "two-beliefs": ([[X]], [[X], [X, Y]]),
+    "two-beliefs-outside": ([[Y, Z], [W]], [[X, Y], [Y]]),
+}
+
+
+def mixed_pool(shape, seed):
+    rng = random.Random("%s %d" % (shape, seed))
+    tables, beliefs = MIXED_SCOPES[shape]
+    pool = [utility(rng, scope) for scope in tables] + [belief(rng, scope) for scope in beliefs]
+    rng.shuffle(pool)
+    return pool
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", sorted(MIXED_SCOPES))
+def test_mixed_table_pools_spread_over_the_belief_joints(shape, seed):
+    assert check(mixed_pool(shape, seed))[2] in (UTILITY, GENERAL)
+
+
+@pytest.mark.deep
+@given(
+    st.lists(st.lists(st.sampled_from([X, Y, Z, W]), min_size=1, max_size=3, unique=True), min_size=1, max_size=3),
+    st.lists(st.lists(st.sampled_from([X, Y, Z, W]), min_size=1, max_size=2, unique=True), min_size=1, max_size=2),
+    st.randoms(use_true_random=False),
+)
+def test_mixed_table_pools_match_the_reference(table_scopes, belief_scopes, rng):
+    """A pool of 1-3 utilities and 1-2 bpas combines as the reference joins it, bit for bit.
+
+    The scopes are random, so tables reach outside the beliefs' variables,
+    and two beliefs may conflict; the pool comes in a random order.
+    """
+    pool = [utility(rng, scope) for scope in table_scopes] + [belief(rng, scope) for scope in belief_scopes]
+    rng.shuffle(pool)
+    check(pool)
+
+
+def beyond_the_frames():
+    """Mixed pools with a configuration outside its frame, which ``Valuation`` does not check."""
+    rng = random.Random(7)
+    frames = {"X": X.frame}
+    d, c = make_config({"X": "d"}), make_config({"X": "c"})
+    # A belief with X = d: where X is in a table, the join drops that
+    # configuration, and a joint left empty drops its combination.
+    stray = Valuation(frozenset("X"), frames, BELIEF, canonical_focals(
+        [(frozenset([d, c]), 0.5), (frozenset([d]), 0.25), (frozenset([c]), 0.25)], "mass"
+    ))
+    # A lone table of its frame's size with X = d in place of X = c.
+    odd = {make_config({"X": x}): float(i) for i, x in enumerate("abd")}
+    outside = Valuation(frozenset("X"), frames, UTILITY, (Focal(frozenset(odd), odd),))
+    b = bpa([X], [([{"X": "a"}, {"X": "b"}], 0.5), ([{"X": "c"}], 0.5)])
+    by = bpa([Y], [([{"Y": "p"}], 1.0)])
+    # One of its frame's size with (X = d, Y = p) in place of (X = c, Y = q):
+    # the belief on Y = p never looks (c, q) up, yet the join meets (d, p).
+    skew = {make_config({"X": x, "Y": y}): 1.0 for x, y in ["ap", "bp", "cp", "dp", "aq", "bq"]}
+    skewed = Valuation(frozenset("XY"), {"X": X.frame, "Y": Y.frame}, UTILITY, (Focal(frozenset(skew), skew),))
+    return [
+        [utility(rng, [X]), stray],
+        [stray, utility(rng, [X, Y])],
+        [utility(rng, [Z]), stray],
+        [outside, b],
+        [outside, by],
+        [utility(rng, [Y]), outside, b],
+        [skewed, by],
+    ]
+
+
+def test_mixed_pools_beyond_the_frames_combine_as_the_join(monkeypatch):
+    spread = [outcome(combine_all_traced, pool) for pool in beyond_the_frames()]
+    monkeypatch.setattr(calculus, "_spread", lambda *args: None)
+    assert spread == [outcome(combine_all_traced, pool) for pool in beyond_the_frames()]
+
+
+def test_a_signed_zero_table_spreads_as_zero():
+    # make_utility turns -0.0 into 0.0; a hand-built focal keeps it, and the
+    # spread turns its products into 0.0 as the join's sum does.
+    zeros = dict.fromkeys(all_configs(["X"], {"X": X.frame}), -0.0)
+    signed = Valuation(frozenset("X"), {"X": X.frame}, GENERAL, (Focal(frozenset(zeros), zeros),))
+    for b in (bpa([X], [([{"X": "a"}, {"X": "c"}], 0.5), ([{"X": "b"}], 0.5)]), vacuous([Y])):
+        found = check([signed, b])
+        assert {val for _, values in found[3] for _, val in values} == {(0.0).hex()}
+
+
+def test_a_non_finite_table_sum_is_named_where_the_join_names_it():
+    big = make_utility([Y], {make_config({"Y": y}): 1e308 for y in Y.frame})
+    b = bpa([X, Y], [([{"X": "b", "Y": "q"}, {"X": "a", "Y": "q"}], 0.5), ([{"X": "c", "Y": "p"}], 0.5)])
+    assert check([big, big, b]) == (SolverError, "combined value is not finite at (('X', 'a'), ('Y', 'q'))")
+
+
+def test_mixed_table_pools_join_only_the_beliefs(monkeypatch):
+    expected = {shape: check(mixed_pool(shape, 0)) for shape in MIXED_SCOPES}
+    join, calls = calculus._joint_supports, []
+
+    def record(parts, domains):
+        calls.append(domains)
+        return join(parts, domains)
+
+    monkeypatch.setattr(calculus, "_joint_supports", record)
+    for shape, found in expected.items():
+        pool = mixed_pool(shape, 0)
+        calls.clear()
+        assert outcome(combine_all_traced, pool) == found
+        assert calls == [[v.domain for v in pool if v.kind == BELIEF]]
+    # A non-belief of several focals or one short of its frame is still
+    # joined, and so is a pool with a configuration outside the table's frame
+    # (all but the third of ``beyond_the_frames``).
+    b = bpa([X], [([{"X": "a"}, {"X": "b"}], 0.5), ([{"X": "c"}], 0.5)])
+    part = {make_config({"X": "a"}): 1.0}
+    partial = Valuation(frozenset("X"), {"X": X.frame}, UTILITY, (Focal(frozenset(part), part),))
+    several = general([X], [[({"X": "a"}, 1.0)], [({"X": "b"}, 2.0)]])
+    joined = []
+    for pool in [[several, b], [partial, b]] + beyond_the_frames():
+        calls.clear()
+        combine_all_traced(pool)
+        joined.append(len(calls) == 2)
+    assert joined == [True] * 4 + [False] + [True] * 4
+
+
+@pytest.mark.parametrize("shape, limit, count, last", [
+    ("vacuous", 35, 36, 36),
+    ("vacuous", 5, 6, 36),
+    ("focals", 9, 10, 10),
+])
+def test_mixed_table_pools_are_refused_as_the_join_refuses_them(monkeypatch, shape, limit, count, last):
+    # With the vacuous belief, the tables' union {W, Z} has 6 configurations,
+    # a level of its own, and the belief's 6 joint configurations, each
+    # extended by those 6, make the last level of 36.  With two focals of 2
+    # and 3 configurations and one table over Z, the last level is 10.
+    rng = random.Random(8)
+    if shape == "vacuous":
+        pool = [utility(rng, [Z]), vacuous([X, Y]), utility(rng, [W])]
+    else:
+        pool = [bpa([X], [([{"X": "a"}, {"X": "b"}], 0.5), ([{"X": x} for x in X.frame], 0.5)]), utility(rng, [Z])]
+    monkeypatch.setattr(calculus, "JOIN_LIMIT", limit)
+    message = "^combining would build %d joint configurations, more than the limit of %d$" % (count, limit)
+    with pytest.raises(SolverError, match=message):
+        combine_all_traced(pool)
+    monkeypatch.setattr(calculus, "_spread", lambda *args: None)
+    with pytest.raises(SolverError, match=message):
+        combine_all_traced(pool)
+    monkeypatch.setattr(calculus, "JOIN_LIMIT", last)
+    assert sum(len(f.support) for f in combine_all_traced(pool)[0].focals) == last
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.3, 1.0]))
+def test_fusion_steps_sum_tables_and_key_focals_by_support(seed, lam):
+    """Every fusion step of ``solve`` meets the conditions its combination takes for granted.
+
+    Every non-belief input is one focal over its whole frame, so the step
+    sums its tables with no join; every belief input's focals have distinct
+    supports in focal order, which the spread keeps for a belief's own
+    supports; and every focal that combination and marginalization build
+    has its values keyed by exactly its support, which ``Focal(...)`` does
+    not judge again for them.
+    """
+    net = random_network(random.Random(seed))
+    for step in solve(net, lam).trace:
+        for v in step.inputs:
+            if v.kind == BELIEF:
+                supports = [f.support for f in v.focals]
+                assert supports == sorted(set(supports), key=sorted)
+            else:
+                (focal,) = v.focals
+                assert focal.support == frozenset(all_configs(v.domain, v.frames))
+        for v in (step.combined, step.result):
+            if v.kind != BELIEF:
+                assert all(f.values.keys() == f.support for f in v.focals)

@@ -261,26 +261,28 @@ class TestIntervals:
             for lo, hi in interval.bounds.values():
                 assert lo <= hi + 1e-12
 
-    def test_needs_canonical_shape(self, wildcatter):
-        with pytest.raises(Exception):
-            expected_interval(wildcatter.network)
-
-    @pytest.mark.parametrize("utility_scopes, parent_names, message", [
-        ([["D", "R"], ["D"]], ["D"], "canonical problems have exactly one utility and one potential"),
-        ([["D"]], ["D"], "the utility valuation must bear on both variables"),
-        ([["D", "R"]], [], "the potential must be conditional on the decision variable"),
-    ], ids=["two-utilities", "utility-scope", "potential-parents"])
-    def test_each_canonical_shape_refusal(self, utility_scopes, parent_names, message):
-        d, r = decision("D", ("a", "b")), random_var("R", ("x", "y"))
-        frames, by_name = {"D": d.frame, "R": r.frame}, {"D": d, "R": r}
-        utilities = [
-            make_utility([by_name[n] for n in scope], dict.fromkeys(all_configs(scope, frames), 1.0))
-            for scope in utility_scopes
-        ]
-        tables = dict.fromkeys(all_configs(parent_names, frames), [({"x", "y"}, 1.0)])
-        potential = conditional(r, [by_name[n] for n in parent_names], tables)
+    @pytest.mark.parametrize("network, message", [
+        (([["D", "R"], ["D"]], ["D"]), "canonical problems have exactly one utility and one potential"),
+        (([["D"]], ["D"]), "the utility valuation must bear on both variables"),
+        (([["D", "R"]], []), "the potential must be conditional on the decision variable"),
+        ("wildcatter", "canonical problems have exactly one decision and one random variable"),
+    ], ids=["two-utilities", "utility-scope", "potential-parents", "wildcatter"])
+    def test_each_canonical_shape_refusal(self, network, message, wildcatter):
+        if network == "wildcatter":  # two decisions and two randoms
+            network = wildcatter.network
+        else:
+            utility_scopes, parent_names = network
+            d, r = decision("D", ("a", "b")), random_var("R", ("x", "y"))
+            frames, by_name = {"D": d.frame, "R": r.frame}, {"D": d, "R": r}
+            utilities = [
+                make_utility([by_name[n] for n in scope], dict.fromkeys(all_configs(scope, frames), 1.0))
+                for scope in utility_scopes
+            ]
+            tables = dict.fromkeys(all_configs(parent_names, frames), [({"x", "y"}, 1.0)])
+            potential = conditional(r, [by_name[n] for n in parent_names], tables)
+            network = Network([d, r], utilities, [potential], [("D", "R")])
         with pytest.raises(NetworkError, match="^%s$" % message):
-            expected_interval(Network([d, r], utilities, [potential], [("D", "R")]))
+            expected_interval(network)
 
 
 class TestSweep:
