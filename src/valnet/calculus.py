@@ -8,9 +8,9 @@ their whole frame, as every utility has, skip the join: their values, each
 broadcast over their joint frame, add there, and with beliefs in the pool
 that sum is spread over each joint of the beliefs alone.
 Marginalization removes one variable at a time: a maximum for decision
-variables and a lambda-weighted blend of maximum and minimum for random
-variables; belief valuations reduce to plain mass summation over projected
-supports.
+variables (by stride over the sum of tables alone, with no combination
+built) and a lambda-weighted blend of maximum and minimum for random
+variables; belief valuations reduce to mass summation over projected supports.
 """
 
 from __future__ import annotations
@@ -110,26 +110,23 @@ def _joint_supports(parts, domains):
     return level
 
 
-def _frame_sum(others, union, frames):
-    """The one focal of a pool of non-beliefs whose focals each cover their whole frame.
+def _is_table(v):
+    """Whether ``v`` is a non-belief with one focal covering its whole frame, as every utility is."""
+    return v.kind != BELIEF and len(v.focals) == 1 and len(v.focals[0].support) == v.full_frame_size() > 0
 
-    A lone input's values are only added to 0.0, as the join adds them.
-    Otherwise each input's values are read in its own ``iter_configs``
-    order and broadcast over the union's frame, where they add in argument
-    order; the union's frame is enumerated once, in that order, to key the
-    result in the order the support iterates.  Each level of the join this
-    replaces, the frame of the union of the first inputs, is held to
-    ``JOIN_LIMIT`` before the union's frame is built.  The values are not
-    yet judged finite.  None when a support of the right size holds a
-    configuration outside its frame: the join combines such a pool.
+
+def _summed_column(tables, union, frames):
+    """The sum of ``tables`` at each configuration of the union's frame, in ``iter_configs`` order.
+
+    Each table's column, in its own ``iter_configs`` order, is broadcast over
+    the union's frame and added to 0.0 in argument order, once each level of
+    the join this replaces, the frame of the union of the first tables, is
+    held to ``JOIN_LIMIT``.  Returns (lazy sums, the union's configurations
+    if a table listed them, else None), or None when a support of the right
+    size holds a configuration outside its frame: the join combines it.
     """
-    if len(others) == 1:
-        (focal,) = others[0].focals
-        read = map(focal.values.__getitem__, focal.support)
-        values = dict(zip(focal.support, map(operator.add, read, itertools.repeat(0.0))))
-        return _keyed_focal(focal.support, values)
     columns, configs = [], None
-    for v in others:
+    for v in tables:
         own = iter_configs(v.domain, frames)
         if v.domain == union:  # its frame is the union's, enumerated once
             own = configs = configs or list(own)
@@ -137,20 +134,74 @@ def _frame_sum(others, union, frames):
             columns.append(list(map(v.focals[0].values.__getitem__, own)))
         except KeyError:
             return None
-    domain = others[0].domain
-    for v in others[1:]:
+    domain = tables[0].domain
+    for v in tables[1:]:
         domain |= v.domain
         size = math.prod(len(frames[name]) for name in domain)
         _refuse_past(JOIN_LIMIT, size, "combining would build {0} joint configurations")
-    configs = configs or list(iter_configs(union, frames))
     totals = itertools.repeat(0.0)
-    for v, column in zip(others, columns):
+    for v, column in zip(tables, columns):
         totals = map(operator.add, totals, broadcast(column, union, v.domain, frames))
+    return totals, configs
+
+
+def _frame_sum(others, union, frames):
+    """The one focal of a pool of tables, ``_summed_column`` keyed in the order the support iterates, or None.
+
+    A lone input's values are only added to 0.0, as the join adds them.
+    """
+    if len(others) == 1:
+        (focal,) = others[0].focals
+        read = map(focal.values.__getitem__, focal.support)
+        values = dict(zip(focal.support, map(operator.add, read, itertools.repeat(0.0))))
+        return _keyed_focal(focal.support, values)
+    summed = _summed_column(others, union, frames)
+    if summed is None:
+        return None
+    totals, configs = summed
+    configs = configs or list(iter_configs(union, frames))
     # An input over the whole union already holds its frame as a support.
     support = next((v.focals[0].support for v in others if v.domain == union), None) or frozenset(configs)
     values = dict.fromkeys(support)  # keyed in the order the support iterates
     values.update(zip(configs, totals))
     return _keyed_focal(support, values)
+
+
+def max_out_tables(tables, variable):
+    """What ``marginalize`` gives for a decision over the combination of ``tables``, built without it.
+
+    In the tables' sum over the union's frame (``_summed_column``) the acts
+    run with a stride of the frame size of the names after the decision, so
+    each configuration of the others reads its row of per-act sums from one
+    block: its value is the row's maximum, never -0.0 as the sums start at
+    0.0, and its choice the first act that attains it, as ``_best_act`` picks
+    it.  None for a pool not all of tables, or whose sums are not all within
+    its frames and finite: combining and marginalizing handles those.
+    """
+    if not all(map(_is_table, tables)):
+        return None
+    frames = _merge_frames(tables)
+    union = frozenset().union(*(v.domain for v in tables))
+    summed = _summed_column(tables, union, frames)
+    if summed is None:
+        return None
+    column = list(summed[0])
+    if not all(map(math.isfinite, column)):
+        return None
+    name, acts = variable.name, frames[variable.name]
+    stride = math.prod(len(frames[n]) for n in union if n > name)
+    block = stride * len(acts)
+    rows = [column[at + i:at + block:stride] for at in range(0, len(column), block) for i in range(stride)]
+    rest = union - {name}
+    configs = list(iter_configs(rest, frames))
+    best = list(map(max, rows))
+    values = dict.fromkeys(support := frozenset(configs))  # keyed in the order the support iterates
+    values.update(zip(configs, best))
+    frames = {n: f for n, f in frames.items() if n in rest}
+    choices = {x: acts[row.index(top)] for x, row, top in zip(configs, rows, best)}
+    totals = {x: dict(zip(acts, row)) for x, row in zip(configs, rows)}
+    result = Valuation(rest, frames, UTILITY, (_keyed_focal(support, values),))
+    return result, SolutionTable(name, tuple(sorted(rest)), choices, totals)
 
 
 def _spread(others, belief_joints, weights, belief_domain, frames):
@@ -252,9 +303,7 @@ def combine_all_traced(valuations):
     frames = _merge_frames(inputs)
     combinations = math.prod(len(v.focals) for v in inputs)
     _refuse_past(COMBINE_LIMIT, combinations, "combining would join {0} focal combinations")
-    tables = bool(others) and all(
-        len(v.focals) == 1 and len(v.focals[0].support) == v.full_frame_size() > 0 for v in others
-    )
+    tables = bool(others) and all(map(_is_table, others))
     if tables and not beliefs:
         focal = _frame_sum(others, union, frames)
         if focal is not None:

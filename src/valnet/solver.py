@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cached_property
 
-from .calculus import (
-    check_lambda,
-    combine_all,
-    combine_all_traced,
-    marginalize,
-    marginalize_belief,  # not called here; the benchmark's tracer wraps this name
-)
+# marginalize_belief is not called here; the benchmark's tracer wraps this name.
+from .calculus import check_lambda, combine_all, combine_all_traced, marginalize, marginalize_belief, max_out_tables
 from .errors import DomainMismatchError, NetworkError, NotWellDefinedError, SolverError, ValnetError, _refuse_past
 from .model import DIAMOND, DECISION, all_configs, extender, make_config, projector, value_reader, values_reader
 from .network import elimination_order, validate
@@ -29,10 +25,18 @@ ORACLE_LIMIT = 10 ** 6
 STRATEGY_LIMIT = 10 ** 5
 
 
-class FusionStep(namedtuple("FusionStep", "variable kind inputs combined provenance result solution")):
-    """One elimination step; ``solve`` keeps them in ``SolveResult.trace``, in elimination order."""
+class FusionStep(namedtuple("FusionStep", "variable kind inputs result solution")):
+    """One elimination step; ``solve`` keeps them in ``SolveResult.trace``, in elimination order.
 
-    __slots__ = ()
+    ``combined`` and ``provenance``, as ``combine_all_traced`` gives them for
+    ``inputs``, are derived when first read and kept, but never compared,
+    replaced, copied or pickled: only the trace and the tests read them.
+    """
+
+    _combination = cached_property(lambda self: combine_all_traced(list(self.inputs)))
+    combined = property(lambda self: self._combination[0])
+    provenance = property(lambda self: self._combination[1])
+    __getstate__ = lambda self: None  # copies and pickles rebuild the fields alone
 
 
 class Strategy(namedtuple("Strategy", "tables")):
@@ -90,26 +94,21 @@ class UtilityInterval(namedtuple("UtilityInterval", "decision bounds")):
 def fuse(pool, variable, lam=None, policy=None):
     """One fusion step over a pool of valuations.
 
-    Returns (new pool, FusionStep).  The step's ``solution`` is the solution
-    table recorded for an unforced decision variable, else None.
+    Returns (new pool, FusionStep).  The valuations that mention the
+    variable are combined and it is marginalized out, by ``max_out_tables``
+    for an unforced decision over tables.  The step's ``solution`` is the
+    solution table recorded for an unforced decision variable, else None.
     """
     touched = [v for v in pool if variable.name in v.domain]
     untouched = [v for v in pool if variable.name not in v.domain]
     if not touched:
         raise ValnetError("no valuation in the pool mentions %r" % variable.name)
-    combined, provenance = combine_all_traced(touched)
-    result, table = marginalize(combined, variable, lam=lam, policy=policy)
+    made = max_out_tables(touched, variable) if variable.is_decision and policy is None else None
+    if made is None:
+        made = marginalize(combine_all_traced(touched)[0], variable, lam=lam, policy=policy)
+    result, table = made
     result = result._replace(label="elim_%s" % variable.name)
-    step = FusionStep(
-        variable=variable.name,
-        kind=variable.kind,
-        inputs=tuple(touched),
-        combined=combined,
-        provenance=tuple(provenance),
-        result=result,
-        solution=table,
-    )
-    return untouched + [result], step
+    return untouched + [result], FusionStep(variable.name, variable.kind, tuple(touched), result, table)
 
 
 def _initial_pool(network):

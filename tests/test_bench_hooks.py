@@ -13,6 +13,7 @@ from valnet import cli
 from conftest import CHAIN, ROOT, WILDCATTER_PATH
 
 sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
 import worker  # noqa: E402
@@ -33,6 +34,22 @@ def test_cli_solve_reaches_every_required_hook(capsys):
     assert code == cli.EXIT_OK
     assert [h for h in run.REQUIRED_HOOKS["cli-wildcatter"] if not calls.get(h)] == []
     assert "expected value 27500" in capsys.readouterr().out
+
+
+def test_cli_solve_on_ladder_files_reaches_every_required_hook(capsys, tmp_path):
+    # Most decision steps of these files max out tables with no combination,
+    # so the hooked combination and marginalization names are reached by
+    # the random variables' steps and the final combination.
+    # As the benchmark merges them, the calls of all the files count.
+    files, reached = gen.solve_ladder(1), set()
+    for name, text in files[::len(files) // 5]:  # one file on each rung
+        path = tmp_path / name
+        path.write_text(text)
+        code, calls = traced_main(["solve", "--machine", str(path)])
+        assert code == cli.EXIT_OK
+        reached.update(h for h, n in calls.items() if n)
+    assert [h for h in run.REQUIRED_HOOKS["solve-ladder"] if h not in reached] == []
+    assert capsys.readouterr().out.count("\nvalue\t") == 5
 
 
 def test_cli_marginal_reaches_every_required_hook(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -34,9 +36,9 @@ from valnet import (
     solve,
     validate,
 )
-from valnet import model, solver
-from valnet.calculus import combine_all, marginalize_belief
-from valnet.valuation import BELIEF
+from valnet import calculus, cli, model, solver
+from valnet.calculus import combine_all, combine_all_traced, marginalize, marginalize_belief, max_out_tables
+from valnet.valuation import BELIEF, GENERAL, UTILITY, Focal, Valuation
 
 from conftest import CHAIN
 from netgen import (
@@ -371,6 +373,189 @@ class TestPropagation:
     def test_rejects_decision_networks(self, wildcatter):
         with pytest.raises(ValnetError):
             propagate_marginal(wildcatter.network, "O")
+
+
+def table(variables, values, kind=UTILITY, label=""):
+    """A valuation of one focal over the frame of ``variables``, its values listed in ``all_configs`` order.
+
+    ``kind`` GENERAL builds by hand what the calculus labels a general
+    valuation; ``make_utility`` would turn -0.0 into 0.0, this keeps it.
+    """
+    frames = {v.name: v.frame for v in variables}
+    values = dict(zip(all_configs(frames, frames), values))
+    focal = Focal(frozenset(values), values)
+    return Valuation(frozenset(frames), frames, kind, (focal,), label)
+
+
+def reference_fuse(pool, variable):
+    """A fusion step the long way: combine the touched valuations, then marginalize."""
+    touched = [v for v in pool if variable.name in v.domain]
+    result, solution = marginalize(combine_all_traced(touched)[0], variable)
+    return [v for v in pool if variable.name not in v.domain] + [result._replace(label="elim_" + variable.name)], solution
+
+
+def outcome(call):
+    """What ``call()`` gives: ("ok", value), or the type and message of what it raises."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # the reference's outcome decides which are right
+        return type(exc).__name__, str(exc)
+
+
+def fused(pool, variable):
+    """The new pool and the solution table of ``fuse``, as ``reference_fuse`` gives them."""
+    new_pool, step = fuse(pool, variable)
+    return new_pool, step.solution
+
+
+def hex_focals(v):
+    return [{x: val.hex() for x, val in f.values.items()} for f in v.focals]
+
+
+def assert_fused_as_the_reference(pool, variable):
+    new_pool, step = fuse(pool, variable)
+    ref_pool, ref_solution = reference_fuse(pool, variable)
+    assert new_pool == ref_pool
+    assert [v.label for v in new_pool] == [v.label for v in ref_pool]
+    assert [hex_focals(v) for v in new_pool] == [hex_focals(v) for v in ref_pool]
+    assert all(list(f.values) == list(f.support) for f in new_pool[-1].focals)  # keyed in support order
+    assert step.solution == ref_solution
+    assert step.solution.context == ref_solution.context
+    hex_totals = lambda t: {x: {a: val.hex() for a, val in acts.items()} for x, acts in t.totals.items()}
+    assert hex_totals(step.solution) == hex_totals(ref_solution)
+
+
+TIES = [-0.0, 0.0, 1.0, -1.0, 0.5]
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(st.sampled_from("AMZ"), st.randoms(use_true_random=False), st.data())
+def test_table_decision_steps_are_the_combination_marginalized(name, rng, data):
+    """Maxing a decision out of 1-4 tables gives what combining and marginalizing them gives, bit for bit.
+
+    The decision sorts first, in the middle or last among B, C, X and Y;
+    the tables' domains are random, so they are equal, overlapping, nested
+    or lone, and those without the decision pass through.  Values include
+    -0.0 and exact ties, and some tables are hand-built general ones.
+    """
+    d = decision(name, ["a%d" % i for i in range(rng.randint(1, 4))])
+    others = [random_var(n, ["%s%d" % (n.lower(), i) for i in range(rng.randint(1, 3))]) for n in "BCXY"]
+    pool = []
+    for i in range(data.draw(st.integers(1, 4))):
+        scope = [v for v in others if rng.random() < 0.4] + ([d] if i == 0 or rng.random() < 0.7 else [])
+        size = math.prod(len(v.frame) for v in scope)
+        values = [rng.choice(TIES) if rng.random() < 0.5 else rng.uniform(-100, 100) for _ in range(size)]
+        pool.append(table(scope, values, kind=rng.choice([UTILITY, GENERAL]), label="t%d" % i))
+    rng.shuffle(pool)
+    assert max_out_tables([v for v in pool if name in v.domain], d) is not None
+    assert_fused_as_the_reference(pool, d)
+
+
+D2 = decision("D", ("d0", "d1"))
+X3 = random_var("X", ("x0", "x1", "x2"))
+Y3 = random_var("Y", ("y0", "y1", "y2"))
+
+
+class TestTableDecisionSteps:
+    def spy(self, monkeypatch):
+        """Record the variables that ``solver`` combines for and marginalizes."""
+        calls = []
+        combine, marg = solver.combine_all_traced, solver.marginalize
+        monkeypatch.setattr(solver, "combine_all_traced", lambda vs: calls.append("combine") or combine(vs))
+        monkeypatch.setattr(
+            solver, "marginalize", lambda v, var, **kw: calls.append(var.name) or marg(v, var, **kw)
+        )
+        return calls
+
+    def test_decision_steps_over_tables_neither_combine_nor_marginalize(self, wildcatter, monkeypatch):
+        calls = self.spy(monkeypatch)
+        result = solve(wildcatter.network, 0.5)
+        # O and R are random; D and T see tables alone.
+        assert calls == ["combine", "O", "combine", "R"]
+        assert result.expected_value == pytest.approx(27500.0)
+        calls.clear()
+        solve(wildcatter.network, 0.5, policy_tables=result.solutions)
+        assert calls == ["combine", "O", "combine", "D", "combine", "R", "combine", "T"]
+
+    def test_a_decision_step_with_a_belief_combines_and_marginalizes(self, monkeypatch):
+        x = random_var("X", ("x", "y"))
+        u = table([D2, x], [1.0, 2.0, 3.0, 0.0])
+        belief = conditional(x, [D2], {cfg(D="d0"): [({"x"}, 1.0)], cfg(D="d1"): [({"x", "y"}, 1.0)]}).ballooned
+        calls = self.spy(monkeypatch)
+        assert max_out_tables([u, belief], D2) is None
+        assert fuse([u, belief], D2)[0] == reference_fuse([u, belief], D2)[0]
+        assert calls == ["combine", "D"]
+
+    def test_a_sum_that_is_not_finite_raises_as_the_combination_does(self):
+        pool = [table([D2], [1e308, 0.0]), table([D2, X3], [1e308] * 6)]
+        expected = ("SolverError", "combined value is not finite at %r" % (cfg(D="d0", X="x0"),))
+        assert outcome(lambda: fused(pool, D2)) == outcome(lambda: reference_fuse(pool, D2)) == expected
+
+    def test_join_limit_is_refused_before_any_sum(self, monkeypatch):
+        pool = [table([D2, X3], [1.0] * 6), table([D2, Y3], [2.0] * 6)]
+        monkeypatch.setattr(calculus, "JOIN_LIMIT", 17)
+        expected = ("SolverError", "combining would build 18 joint configurations, more than the limit of 17")
+        assert outcome(lambda: reference_fuse(pool, D2)) == expected
+        built, broadcast = [], calculus.broadcast
+        monkeypatch.setattr(calculus, "broadcast", lambda *args: built.append(args) or broadcast(*args))
+        assert outcome(lambda: fused(pool, D2)) == expected
+        assert built == []
+        monkeypatch.setattr(calculus, "JOIN_LIMIT", 18)
+        assert_fused_as_the_reference(pool, D2)
+
+    @pytest.mark.parametrize("others", [0, 1], ids=["lone", "with-another"])
+    def test_a_support_outside_its_frame_is_combined(self, others):
+        # The right number of configurations, one of them with X = zz.
+        bad = table([D2, X3], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        (focal,) = bad.focals
+        moved = {(x if x != cfg(D="d1", X="x2") else cfg(D="d1", X="zz")): v for x, v in focal.values.items()}
+        bad = bad._replace(focals=(Focal(frozenset(moved), moved),))
+        pool = [bad] + [table([D2], [0.5, -0.5])] * others
+        assert max_out_tables(pool, D2) is None
+        ref = outcome(lambda: reference_fuse(pool, D2))
+        assert outcome(lambda: fused(pool, D2)) == ref
+        assert ref[0] == "ok"
+
+    def test_inconsistent_frames_raise_as_the_combination_does(self):
+        x2 = random_var("X", ("x0", "x1"))
+        pool = [table([D2, X3], [1.0] * 6), table([D2, x2], [2.0] * 4)]
+        expected = ("DomainMismatchError", "inconsistent frames for 'X'")
+        assert outcome(lambda: fused(pool, D2)) == outcome(lambda: reference_fuse(pool, D2)) == expected
+
+
+class TestFusionStepRecord:
+    def test_combined_and_provenance_are_derived_from_the_inputs(self, wildcatter):
+        assert solver.FusionStep._fields == ("variable", "kind", "inputs", "result", "solution")
+        for step in solve(wildcatter.network, 0.5).trace:
+            combined, provenance = combine_all_traced(list(step.inputs))
+            assert step.combined == combined
+            assert hex_focals(step.combined) == hex_focals(combined)
+            assert step.provenance == provenance
+
+    def test_copies_pickles_and_replacements_keep_the_fields_alone(self, wildcatter):
+        step = solve(wildcatter.network, 0.5).trace[1]
+        unread = pickle.dumps(step)
+        assert step.combined.domain == {"D", "R"}
+        assert pickle.dumps(step) == unread  # the derived pair is not pickled
+        for twin in (copy.copy(step), copy.deepcopy(step), pickle.loads(unread), step._replace()):
+            assert twin == step
+            assert "_combination" not in vars(twin)
+            assert twin.combined == step.combined and twin.provenance == step.provenance
+        first = solve(wildcatter.network, 0.5).trace[0]
+        other = step._replace(inputs=first.inputs)
+        assert other != step
+        assert (other.combined, other.provenance) == (first.combined, first.provenance)
+
+    def test_the_trace_derives_each_combination_once(self, wildcatter, monkeypatch):
+        net = wildcatter.network
+        result = solve(net, 0.5)
+        calls = []
+        combine = solver.combine_all_traced
+        monkeypatch.setattr(solver, "combine_all_traced", lambda vs: calls.append(len(vs)) or combine(vs))
+        for index, step in enumerate(result.trace, 1):
+            cli._step_lines(net, index, step, 0.5)
+        assert calls == [len(s.inputs) for s in result.trace]
 
 
 def fusion_steps(run):
